@@ -3,14 +3,15 @@
 //!
 //! A [`BatchJob`] is one workload — an [`OracleSpec`] plus a shot count, a
 //! sampling seed and a simulation [`BackendChoice`] (dense, sparse,
-//! stabilizer, or automatic). [`BatchEngine::run_batch`] executes a whole
-//! slice of jobs:
+//! stabilizer, or automatic). [`BatchEngine::run_batch`],
+//! [`BatchEngine::try_run_batch`] and [`BatchEngine::run_job`] execute jobs
+//! on one path:
 //!
-//! 1. jobs under [`BackendChoice::Auto`] are **resolved** first
-//!    ([`BatchEngine::resolve_backends`]): the spec is compiled through the
+//! 1. jobs under [`BackendChoice::Auto`] are **resolved** first (as in
+//!    [`BatchEngine::resolve_backends`]): the spec is compiled through the
 //!    cache, censused ([`qdaflow_quantum::GateCensus`]) and routed by
-//!    [`resolve_backend`] — so every key and log entry downstream names a
-//!    concrete backend, never `auto`;
+//!    [`resolve_backend`] — so every key downstream names a concrete
+//!    backend, never `auto`;
 //! 2. every job is keyed by the canonical hash of its spec *and* resolved
 //!    backend ([`BatchJob::cache_key`]) and **deduplicated** through the
 //!    engine's [`OracleCache`], so `N` jobs over `k` distinct oracles cost
@@ -112,22 +113,11 @@ impl BatchJob {
     /// records the execution-ready artifact per engine, trading one
     /// redundant compilation for unambiguous per-backend provenance.
     /// [`BackendChoice::Auto`] jobs are resolved to a concrete backend
-    /// before keying on the batch path ([`BatchEngine::resolve_backends`]),
+    /// before keying on the batch path,
     /// so cache entries stay backend-exact; the defensive `backend:auto` tag
     /// only appears if an unresolved job is keyed directly.
     pub fn cache_key(&self) -> SpecKey {
-        let base = self.spec.cache_key();
-        let tag = match self.backend {
-            BackendChoice::Dense => return base,
-            BackendChoice::Sparse => "backend:sparse",
-            BackendChoice::Stabilizer => "backend:stabilizer",
-            BackendChoice::Auto => "backend:auto",
-        };
-        let mut hasher = CanonicalHasher::new();
-        hasher.write_u64((base.0 >> 64) as u64);
-        hasher.write_u64(base.0 as u64);
-        hasher.write_str(tag);
-        hasher.finish()
+        cache_key_on(&self.spec, self.backend)
     }
 
     /// The canonical identity digest of the whole job: the compilation
@@ -148,6 +138,23 @@ impl BatchJob {
         hasher.write_str(self.backend.as_str());
         hasher.finish()
     }
+}
+
+/// The cache key of compiling `spec` for `backend`; see
+/// [`BatchJob::cache_key`].
+fn cache_key_on(spec: &OracleSpec, backend: BackendChoice) -> SpecKey {
+    let base = spec.cache_key();
+    let tag = match backend {
+        BackendChoice::Dense => return base,
+        BackendChoice::Sparse => "backend:sparse",
+        BackendChoice::Stabilizer => "backend:stabilizer",
+        BackendChoice::Auto => "backend:auto",
+    };
+    let mut hasher = CanonicalHasher::new();
+    hasher.write_u64((base.0 >> 64) as u64);
+    hasher.write_u64(base.0 as u64);
+    hasher.write_str(tag);
+    hasher.finish()
 }
 
 /// The simulated output state of one distinct batch program, on whichever
@@ -259,24 +266,31 @@ impl BatchEngine {
         &self.cache
     }
 
-    /// Executes a batch of jobs with the engine's own configuration; see
-    /// [`BatchEngine::run_batch_with`].
+    /// Executes a batch of jobs, all or nothing: the fault-isolated
+    /// [`BatchEngine::try_run_batch`] path with its outcomes collapsed into
+    /// one `Result`. Results are returned in job order.
     ///
     /// # Errors
     ///
-    /// Returns the first compilation or simulation error (by distinct-spec
-    /// order); on error no partial results are returned.
+    /// Returns [`EngineError::ZeroShots`] for the first job without shots,
+    /// checked before anything compiles. Otherwise returns the first failing
+    /// job's error in job order, including [`EngineError::JobPanicked`] for
+    /// a job whose compilation panicked. On error no partial results are
+    /// returned.
     pub fn run_batch(&self, jobs: &[BatchJob]) -> Result<Vec<ExecutionResult>, EngineError> {
-        self.run_batch_with(jobs, &self.config)
+        if let Some(index) = jobs.iter().position(|job| job.shots == 0) {
+            return Err(EngineError::ZeroShots { index });
+        }
+        self.execute(jobs, &self.config).into_iter().collect()
     }
 
     /// Resolves every job's backend to a concrete choice: jobs already on a
     /// concrete backend pass through unchanged, [`BackendChoice::Auto`] jobs
     /// are compiled through the cache (under the raw spec key, shared with
     /// dense callers), censused, and routed by [`resolve_backend`]. The
-    /// returned vector is in job order and never contains `Auto` — the shell
-    /// logs it per job, and [`BatchEngine::run_batch_with`] keys the cache
-    /// with it.
+    /// returned vector is in job order and never contains `Auto`; the shell
+    /// logs it per job. Execution performs the same resolution and reuses
+    /// the compilation through the cache.
     ///
     /// # Errors
     ///
@@ -293,167 +307,22 @@ impl BatchEngine {
             .collect()
     }
 
-    /// Executes a batch of jobs under an explicit execution configuration:
-    /// automatic-backend resolution, deduplicated compilation through the
-    /// cache, parallel compilation + simulation of the distinct programs,
-    /// and shot-sharded sampling per job. Results are returned in job order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compilation or simulation error (by distinct-spec
-    /// order); on error no partial results are returned.
-    pub fn run_batch_with(
-        &self,
-        jobs: &[BatchJob],
-        config: &ExecConfig,
-    ) -> Result<Vec<ExecutionResult>, EngineError> {
-        if let Some(index) = jobs.iter().position(|job| job.shots == 0) {
-            return Err(EngineError::ZeroShots { index });
-        }
-        let _span = telemetry::span!("batch", "run_batch: {} jobs", jobs.len());
-        // Explicitly requested backends are dispatch decisions too; Auto
-        // jobs are counted inside `resolve_backend` when resolved below.
-        for job in jobs.iter().filter(|job| job.backend != BackendChoice::Auto) {
-            note_dispatch(job.backend);
-        }
-        // Resolve Auto jobs to concrete backends first, so cache keys and
-        // simulated states are always backend-exact. The materialized copy
-        // is only made when the batch actually contains an Auto job. The
-        // program resolution just compiled under the raw spec key is aliased
-        // into the backend-tagged slot, so resolution and execution share
-        // one compilation per distinct spec.
-        let materialized: Option<Vec<BatchJob>> =
-            if jobs.iter().any(|job| job.backend == BackendChoice::Auto) {
-                let resolved = self.resolve_backends(jobs)?;
-                Some(
-                    jobs.iter()
-                        .zip(resolved)
-                        .map(|(job, backend)| {
-                            let was_auto = job.backend == BackendChoice::Auto;
-                            let resolved_job = job.clone().with_backend(backend);
-                            let tagged = resolved_job.cache_key();
-                            if was_auto && tagged != job.spec.cache_key() {
-                                if let Some(program) = self.cache.peek(job.spec.cache_key()) {
-                                    self.cache.alias_keyed(tagged, &program);
-                                }
-                            }
-                            resolved_job
-                        })
-                        .collect(),
-                )
-            } else {
-                None
-            };
-        let jobs = materialized.as_deref().unwrap_or(jobs);
-        // Deduplicate jobs by canonical (spec, backend) key, keeping
-        // first-appearance order so error reporting and work distribution
-        // are deterministic.
-        let keys: Vec<SpecKey> = jobs.iter().map(BatchJob::cache_key).collect();
-        let mut seen = HashSet::with_capacity(jobs.len());
-        let mut distinct: Vec<(SpecKey, &OracleSpec, BackendChoice)> = Vec::new();
-        for (job, &key) in jobs.iter().zip(&keys) {
-            if seen.insert(key) {
-                distinct.push((key, &job.spec, job.backend));
-            }
-        }
-        let executed = self.compile_and_simulate(&distinct, config);
-        // All-or-nothing contract: surface the first failure in
-        // distinct-spec order (deterministic), no partial results.
-        for (key, _, _) in &distinct {
-            if let Err(error) = &executed[key] {
-                return Err(error.clone());
-            }
-        }
-        let mut results = Vec::with_capacity(jobs.len());
-        for (job, key) in jobs.iter().zip(&keys) {
-            let (program, state) = executed[key].as_ref().expect("checked above");
-            results.push(state.sample_job(program, job.shots, job.seed, config));
-        }
-        Ok(results)
-    }
-
     /// Executes a batch with **per-job fault isolation**: every job gets
     /// its own `Result`, in job order. A job whose compilation or
     /// simulation fails — including one that *panics* (converted to
     /// [`EngineError::JobPanicked`] at the worker boundary) — fails alone;
     /// its siblings complete normally. Duplicate jobs over a failed spec
     /// share the (cloned) error, exactly as they would have shared the
-    /// compiled program. This is the execution path of the
-    /// [`JobService`](crate::JobService); [`BatchEngine::run_batch`] keeps
-    /// the historical all-or-nothing contract on top of the same machinery.
+    /// compiled program. [`BatchEngine::run_batch`] and
+    /// [`BatchEngine::run_job`] run on the same path.
     pub fn try_run_batch(&self, jobs: &[BatchJob]) -> Vec<Result<ExecutionResult, EngineError>> {
-        self.try_run_batch_with(jobs, &self.config)
-    }
-
-    /// [`BatchEngine::try_run_batch`] under an explicit execution
-    /// configuration.
-    pub fn try_run_batch_with(
-        &self,
-        jobs: &[BatchJob],
-        config: &ExecConfig,
-    ) -> Vec<Result<ExecutionResult, EngineError>> {
-        let _span = telemetry::span!("batch", "try_run_batch: {} jobs", jobs.len());
-        // Per-job backend resolution, each under its own panic boundary: a
-        // spec whose *resolution* compile panics fails only its own job.
-        let mut slots: Vec<Option<Result<ExecutionResult, EngineError>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut resolved: Vec<Option<BatchJob>> = Vec::with_capacity(jobs.len());
-        for (index, job) in jobs.iter().enumerate() {
-            if job.shots == 0 {
-                slots[index] = Some(Err(EngineError::ZeroShots { index }));
-                resolved.push(None);
-                continue;
-            }
-            let outcome = catch_job_panic(|| {
-                Ok(match job.backend {
-                    BackendChoice::Auto => {
-                        let program = self.cache.get_or_compile(&job.spec)?;
-                        let backend = resolve_backend(&GateCensus::of(program.circuit()));
-                        let materialized = job.clone().with_backend(backend);
-                        self.cache.alias_keyed(materialized.cache_key(), &program);
-                        materialized
-                    }
-                    explicit => {
-                        note_dispatch(explicit);
-                        job.clone()
-                    }
-                })
-            });
-            match outcome {
-                Ok(materialized) => resolved.push(Some(materialized)),
-                Err(error) => {
-                    slots[index] = Some(Err(error));
-                    resolved.push(None);
-                }
-            }
-        }
-        let mut seen = HashSet::new();
-        let mut distinct: Vec<(SpecKey, &OracleSpec, BackendChoice)> = Vec::new();
-        for job in resolved.iter().flatten() {
-            let key = job.cache_key();
-            if seen.insert(key) {
-                distinct.push((key, &job.spec, job.backend));
-            }
-        }
-        let executed = self.compile_and_simulate(&distinct, config);
-        for (index, job) in resolved.iter().enumerate() {
-            let Some(job) = job else { continue };
-            slots[index] = Some(match &executed[&job.cache_key()] {
-                Ok((program, state)) => {
-                    catch_job_panic(|| Ok(state.sample_job(program, job.shots, job.seed, config)))
-                }
-                Err(error) => Err(error.clone()),
-            });
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every job received an outcome"))
-            .collect()
+        self.execute(jobs, &self.config)
     }
 
     /// Executes one job (the [`JobService`](crate::JobService) worker
-    /// path): resolution, cached compilation, simulation and sampling, with
-    /// panics converted to [`EngineError::JobPanicked`].
+    /// path) under an explicit execution configuration: resolution, cached
+    /// compilation, simulation and sampling, with panics converted to
+    /// [`EngineError::JobPanicked`].
     ///
     /// # Errors
     ///
@@ -464,9 +333,73 @@ impl BatchEngine {
         job: &BatchJob,
         config: &ExecConfig,
     ) -> Result<ExecutionResult, EngineError> {
-        self.try_run_batch_with(std::slice::from_ref(job), config)
+        self.execute(std::slice::from_ref(job), config)
             .pop()
             .expect("one job in, one outcome out")
+    }
+
+    /// The one execution path behind every public entry point: per-job
+    /// backend resolution, deduplication by resolved cache key in
+    /// first-appearance order, parallel compilation and simulation of the
+    /// distinct programs, and shot-sharded sampling per job. Every job gets
+    /// its own outcome, in job order.
+    fn execute(
+        &self,
+        jobs: &[BatchJob],
+        config: &ExecConfig,
+    ) -> Vec<Result<ExecutionResult, EngineError>> {
+        let _span = telemetry::span!("batch", "run_batch: {} jobs", jobs.len());
+        // Per-job backend resolution, each under its own panic boundary: a
+        // spec whose *resolution* compile panics fails only its own job. The
+        // program an Auto resolution compiled under the raw spec key is
+        // aliased into the backend-tagged slot, so resolution and execution
+        // share one compilation per distinct spec.
+        let resolved: Vec<Result<(SpecKey, BackendChoice), EngineError>> = jobs
+            .iter()
+            .enumerate()
+            .map(|(index, job)| {
+                if job.shots == 0 {
+                    return Err(EngineError::ZeroShots { index });
+                }
+                catch_job_panic(|| {
+                    let backend = match job.backend {
+                        BackendChoice::Auto => {
+                            let program = self.cache.get_or_compile(&job.spec)?;
+                            let backend = resolve_backend(&GateCensus::of(program.circuit()));
+                            self.cache
+                                .alias_keyed(cache_key_on(&job.spec, backend), &program);
+                            backend
+                        }
+                        explicit => {
+                            note_dispatch(explicit);
+                            explicit
+                        }
+                    };
+                    Ok((cache_key_on(&job.spec, backend), backend))
+                })
+            })
+            .collect();
+        // Deduplicate by resolved key in first-appearance order, so work
+        // distribution is deterministic.
+        let mut seen = HashSet::with_capacity(jobs.len());
+        let mut distinct: Vec<(SpecKey, &OracleSpec, BackendChoice)> = Vec::new();
+        for (job, outcome) in jobs.iter().zip(&resolved) {
+            if let Ok((key, backend)) = outcome {
+                if seen.insert(*key) {
+                    distinct.push((*key, &job.spec, *backend));
+                }
+            }
+        }
+        let executed = self.compile_and_simulate(&distinct, config);
+        jobs.iter()
+            .zip(resolved)
+            .map(|(job, outcome)| match &executed[&outcome?.0] {
+                Ok((program, state)) => {
+                    catch_job_panic(|| Ok(state.sample_job(program, job.shots, job.seed, config)))
+                }
+                Err(error) => Err(error.clone()),
+            })
+            .collect()
     }
 
     /// Compiles (through the cache) and simulates every distinct spec on its
@@ -504,12 +437,6 @@ impl BatchEngine {
                     telemetry::SpanGuard::disabled()
                 };
                 let program = self.cache.get_or_compile_keyed(key, spec)?;
-                // run_batch_with resolves Auto before keying; this guard only
-                // fires when compile_and_simulate is reached some other way.
-                let backend = match backend {
-                    BackendChoice::Auto => resolve_backend(&GateCensus::of(program.circuit())),
-                    concrete => concrete,
-                };
                 let state = match backend {
                     BackendChoice::Dense => SimulatedState::Dense(Statevector::run(
                         program.circuit(),
@@ -523,7 +450,7 @@ impl BatchEngine {
                             .map_err(QuantumError::from)?;
                         SimulatedState::Stabilizer(tableau.sampler().map_err(QuantumError::from)?)
                     }
-                    // resolve_backend only returns concrete choices; if this
+                    // execute resolves every Auto job before keying; if this
                     // invariant ever breaks it is a typed error, not a
                     // process abort.
                     BackendChoice::Auto => return Err(EngineError::AutoUnresolved),
@@ -978,6 +905,57 @@ mod tests {
             outcomes[1],
             Err(EngineError::ZeroShots { index: 1 })
         ));
+    }
+
+    #[test]
+    fn run_batch_checks_shots_before_any_job_fails() {
+        let engine = BatchEngine::new();
+        let jobs = vec![
+            BatchJob::new(OracleSpec::fault_injection(false, 1), 10, 1),
+            perm_job(vec![1, 0, 3, 2], 10, 2),
+            perm_job(vec![1, 0, 3, 2], 0, 3),
+        ];
+        assert!(matches!(
+            engine.run_batch(&jobs),
+            Err(EngineError::ZeroShots { index: 2 })
+        ));
+        assert_eq!(engine.cache().stats().entries, 0);
+    }
+
+    #[test]
+    fn run_batch_returns_the_first_failure_in_job_order() {
+        let engine = BatchEngine::new();
+        let jobs = vec![
+            perm_job(vec![1, 0, 3, 2], 10, 1),
+            BatchJob::new(OracleSpec::fault_injection(false, 4), 10, 2),
+            BatchJob::new(OracleSpec::fault_injection(false, 5), 10, 3),
+        ];
+        assert!(
+            matches!(engine.run_batch(&jobs), Err(EngineError::Flow { message })
+            if message.contains("tag 4"))
+        );
+        let reversed = [jobs[2].clone(), jobs[1].clone()];
+        assert!(
+            matches!(engine.run_batch(&reversed), Err(EngineError::Flow { message })
+            if message.contains("tag 5"))
+        );
+    }
+
+    #[test]
+    fn run_batch_types_a_panicking_auto_resolution() {
+        // The resolution compile of an Auto job runs under the per-job
+        // panic boundary too, so the all-or-nothing API reports it as a
+        // typed error instead of unwinding into the caller.
+        let engine = BatchEngine::new();
+        let jobs = vec![
+            perm_job(vec![1, 0, 3, 2], 10, 1),
+            BatchJob::new(OracleSpec::fault_injection(true, 6), 10, 2)
+                .with_backend(BackendChoice::Auto),
+        ];
+        assert!(
+            matches!(engine.run_batch(&jobs), Err(EngineError::JobPanicked { message })
+            if message.contains("injected compilation panic (tag 6)"))
+        );
     }
 
     #[test]

@@ -67,9 +67,11 @@ pub fn phase_folding(circuit: &QuantumCircuit) -> QuantumCircuit {
     let num_qubits = circuit.num_qubits();
     // Each wire carries a parity over "path variables"; fresh variables are
     // allocated at the start and whenever a non-linear gate (H, Y, Toffoli
-    // target, ...) acts on a wire. With u128 masks we support up to 128 path
-    // variables; if more are needed the optimization degrades gracefully by
-    // flushing the phase table.
+    // target, ...) acts on a wire. Parities are u128 masks, so only 128 path
+    // variables are distinct: every variable past the 128th aliases onto bit
+    // 127 (see `fresh_variable`), nothing flushes the phase table, and phases
+    // on different parities can then merge. The fold is unsound beyond 128
+    // path variables.
     let mut next_variable: usize = 0;
     let mut parity: Vec<u128> = Vec::with_capacity(num_qubits);
     let mut constant: Vec<bool> = vec![false; num_qubits];
@@ -142,9 +144,10 @@ fn fresh_variable(next_variable: &mut usize) -> u128 {
     if variable < 128 {
         1u128 << variable
     } else {
-        // Path-variable budget exhausted: reuse the highest bit. This only
-        // affects optimization quality, not correctness, because the caller
-        // flushes the phase table when it happens.
+        // Path-variable budget exhausted: reuse the highest bit. Nothing
+        // flushes the phase table afterwards, so every variable past the
+        // 128th aliases onto bit 127 and `phase_folding` may merge phases of
+        // distinct parities: it is unsound beyond 128 path variables.
         1u128 << 127
     }
 }

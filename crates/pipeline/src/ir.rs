@@ -172,18 +172,22 @@ impl Stage {
             Self::Quantum => 8,
         }
     }
-}
 
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The stage's name as it appears in messages ("reversible circuit").
+    pub fn name(self) -> &'static str {
+        match self {
             Self::QasmSource => "openqasm source",
             Self::Permutation => "permutation",
             Self::Function => "boolean function",
             Self::Reversible => "reversible circuit",
             Self::Quantum => "quantum circuit",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -1,18 +1,21 @@
 //! The shell commands.
 //!
 //! Each command mirrors one RevKit command used (or implied) by the paper's
-//! pipeline `revgen --hwb 4; tbs; revsimp; rptm; tpar; ps -c`:
+//! pipeline `revgen --hwb 4; tbs; revsimp; rptm; tpar; ps -c`. The seven
+//! stage commands *are* the pipeline passes of the same name
+//! ([`PassCommand`] over [`qdaflow_pipeline::passes`]): typing `tbs` runs
+//! exactly the pass that `flow "…; tbs; …"` and [`Pipeline::parse`] run.
 //!
 //! | command   | effect                                                        |
 //! |-----------|---------------------------------------------------------------|
-//! | `revgen`  | generate a specification (`--hwb`, `--random`, `--perm`, `--expr`) |
-//! | `tbs`     | transformation-based synthesis of the current permutation     |
-//! | `dbs`     | decomposition-based synthesis of the current permutation      |
-//! | `esopbs`  | ESOP-based synthesis of the current single-output function    |
-//! | `revsimp` | simplify the current reversible circuit                        |
-//! | `rptm`    | map the reversible circuit to Clifford+T                       |
-//! | `tpar`    | T-count optimization of the quantum circuit                    |
-//! | `ps`      | print statistics (`-c` selects the circuit stores)            |
+//! | `revgen`  | pass: generate a specification (`--hwb`, `--random`, `--perm`, `--expr`) |
+//! | `tbs`     | pass: transformation-based synthesis of the current permutation |
+//! | `dbs`     | pass: decomposition-based synthesis of the current permutation |
+//! | `esopbs`  | pass: ESOP-based synthesis of the current single-output function |
+//! | `revsimp` | pass: simplify the current reversible circuit                  |
+//! | `rptm`    | pass: map the reversible circuit to Clifford+T                 |
+//! | `tpar`    | pass: T-count optimization of the quantum circuit              |
+//! | `ps`      | print statistics of every store entry, in the `ps` pass wording (`-c` accepted) |
 //! | `simulate`| check the quantum circuit against the reversible circuit       |
 //! | `exec`    | configure the execution layer (threads, fusion, plan kernel)   |
 //! | `qasm`    | print the quantum circuit as OpenQASM, or `qasm load <file>`   |
@@ -24,12 +27,10 @@
 
 use crate::{RevkitError, Store};
 use qdaflow_engine::{BackendChoice, BatchJob, JobStatus, OracleSpec, SynthesisChoice};
-use qdaflow_mapping::{map, optimize, verify};
+use qdaflow_mapping::verify;
 use qdaflow_pipeline::script::tokenize;
-use qdaflow_pipeline::{passes, FlowError, Ir, Pass, Pipeline, Stage};
-use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::{drawer, qasm, resource::ResourceCounts};
-use qdaflow_reversible::{optimize as revopt, synthesis, synthesis::EsopSynthesisOptions};
+use qdaflow_pipeline::{passes, FlowError, Ir, Pass, Pipeline, PipelineReport, Stage};
+use qdaflow_quantum::{drawer, qasm};
 use qdaflow_telemetry as telemetry;
 
 /// A shell command.
@@ -51,14 +52,10 @@ pub trait Command {
 
 /// Returns the full set of built-in commands.
 pub fn builtin_commands() -> Vec<Box<dyn Command>> {
-    vec![
-        Box::new(Revgen),
-        Box::new(Tbs),
-        Box::new(Dbs),
-        Box::new(Esopbs),
-        Box::new(Revsimp),
-        Box::new(Rptm),
-        Box::new(Tpar),
+    let stages = PassCommand::STAGES
+        .into_iter()
+        .map(|command| Box::new(command) as Box<dyn Command>);
+    let others: [Box<dyn Command>; 9] = [
         Box::new(Ps),
         Box::new(Simulate),
         Box::new(Exec),
@@ -68,7 +65,8 @@ pub fn builtin_commands() -> Vec<Box<dyn Command>> {
         Box::new(Batch),
         Box::new(BackendCmd),
         Box::new(Trace),
-    ]
+    ];
+    stages.chain(others).collect()
 }
 
 fn parse_usize(command: &'static str, text: &str) -> Result<usize, RevkitError> {
@@ -85,260 +83,147 @@ fn find_flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// `revgen` — generate a specification.
-pub struct Revgen;
+/// The stage commands of the flow: `revgen`, `tbs`, `dbs`, `esopbs`,
+/// `revsimp`, `rptm` and `tpar`. Each one *is* the pipeline pass of the same
+/// name.
+///
+/// The command resolves its pass through the pipeline's pass registry
+/// ([`passes::pass_from_tokens`], the one argument grammar behind
+/// [`Pipeline::parse`]), runs it as a one-pass pipeline seeded from the
+/// store, writes the result back, and logs `[<name>] <summary>` — the
+/// [`PassRecord::summary`](qdaflow_pipeline::PassRecord::summary) line
+/// `flow` prints for the same pass.
+pub struct PassCommand {
+    name: &'static str,
+    description: &'static str,
+}
 
-impl Command for Revgen {
+impl PassCommand {
+    /// The stage commands, in flow order.
+    pub const STAGES: [PassCommand; 7] = [
+        PassCommand {
+            name: "revgen",
+            description: "generate a reversible or Boolean specification (--hwb N | --random N --seed S | --perm \"0 2 1 3\" | --expr \"(a & b) ^ c\")",
+        },
+        PassCommand {
+            name: "tbs",
+            description: "transformation-based reversible synthesis of the current permutation",
+        },
+        PassCommand {
+            name: "dbs",
+            description: "decomposition-based (Young subgroup) reversible synthesis of the current permutation",
+        },
+        PassCommand {
+            name: "esopbs",
+            description: "ESOP-based synthesis (Bennett embedding) of the current Boolean function",
+        },
+        PassCommand {
+            name: "revsimp",
+            description: "simplify the current reversible circuit (cancellation and control merging)",
+        },
+        PassCommand {
+            name: "rptm",
+            description: "map the current reversible circuit to a Clifford+T quantum circuit",
+        },
+        PassCommand {
+            name: "tpar",
+            description: "optimize the T-count of the current quantum circuit by phase folding",
+        },
+    ];
+}
+
+impl Command for PassCommand {
     fn name(&self) -> &'static str {
-        "revgen"
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        "generate a reversible or Boolean specification (--hwb N | --random N --seed S | --perm \"0 2 1 3\" | --expr \"(a & b) ^ c\")"
+        self.description
     }
 
     fn execute(&self, args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        if args.is_empty() {
+        if self.name == "revgen" && args.is_empty() {
+            // A passthrough revgen forwards a pipeline input, and a shell
+            // command has none to forward.
             return Err(RevkitError::InvalidArguments {
-                command: self.name(),
+                command: self.name,
                 message: "expected one of --hwb, --random, --perm, --expr".to_owned(),
             });
         }
-        // One argument grammar for both surfaces: the shell command
-        // delegates to the pipeline's revgen pass.
-        let pass = passes::Revgen::from_args(args).map_err(|error| match error {
+        let pass = passes::pass_from_tokens(self.name, args).map_err(|error| match error {
             FlowError::InvalidPassArguments { message, .. } => RevkitError::InvalidArguments {
-                command: self.name(),
+                command: self.name,
                 message,
             },
             other => other.into(),
         })?;
-        let generated = pass
-            .generate()
-            .expect("revgen with arguments is a generator")?;
-        match generated {
-            Ir::Permutation(permutation) => {
-                store.log(format!(
-                    "[revgen] permutation on {} variables ({})",
-                    permutation.num_vars(),
-                    pass.describe()
-                ));
-                store.set_permutation(permutation);
-            }
-            Ir::Function(function) => {
-                store.log(format!(
-                    "[revgen] boolean function on {} variables ({})",
-                    function.num_vars(),
-                    pass.describe()
-                ));
-                store.set_function(function);
-            }
-            other => {
-                return Err(RevkitError::InvalidArguments {
-                    command: self.name(),
-                    message: format!(
-                        "revgen generated a {} instead of a specification",
-                        other.stage()
-                    ),
-                })
-            }
+        let pipeline = Pipeline::builder().then_boxed(pass).build()?;
+        for record in run_on_store(self.name, &pipeline, store)?.passes {
+            store.log(format!("[{}] {}", self.name, record.summary()));
         }
         Ok(())
     }
 }
 
-/// `tbs` — transformation-based synthesis.
-pub struct Tbs;
-
-impl Command for Tbs {
-    fn name(&self) -> &'static str {
-        "tbs"
+/// Runs `pipeline` against the store: the one Store↔Ir adapter behind
+/// `flow` and the stage commands. A generated pipeline runs on its own; any
+/// other starts from the first store entry its input accepts. Every
+/// artifact the run produces is moved back into the store, so the returned
+/// report carries empty artifacts.
+///
+/// # Errors
+///
+/// Returns [`RevkitError::MissingStoreEntry`] blamed on `command` when the
+/// store holds nothing the pipeline accepts, and propagates pass failures.
+fn run_on_store(
+    command: &'static str,
+    pipeline: &Pipeline,
+    store: &mut Store,
+) -> Result<PipelineReport, RevkitError> {
+    let mut report = if pipeline.is_generated() {
+        pipeline.run_generated()?
+    } else {
+        let accepted = pipeline.input_stages();
+        let seed = accepted
+            .stages()
+            .find_map(|stage| match stage {
+                Stage::Permutation => store.permutation().cloned().map(Ir::from),
+                Stage::Function => store.function().cloned().map(Ir::from),
+                Stage::Reversible => store.reversible().cloned().map(Ir::from),
+                Stage::Quantum => store.quantum().cloned().map(Ir::from),
+                Stage::QasmSource => store.qasm_source().map(|s| Ir::QasmSource(s.to_owned())),
+            })
+            .ok_or_else(|| {
+                let mut stages = accepted.stages();
+                let expected = match (stages.next(), stages.next()) {
+                    (Some(only), None) => only.name(),
+                    _ => "specification or circuit matching the pipeline input",
+                };
+                RevkitError::MissingStoreEntry { command, expected }
+            })?;
+        pipeline.run(seed)?
+    };
+    let artifacts = std::mem::take(&mut report.artifacts);
+    if let Some(p) = artifacts.permutation {
+        store.set_permutation(p);
     }
-
-    fn description(&self) -> &'static str {
-        "transformation-based reversible synthesis of the current permutation"
+    if let Some(f) = artifacts.function {
+        store.set_function(f);
     }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let permutation = store
-            .permutation()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "permutation",
-            })?
-            .clone();
-        let circuit = synthesis::transformation_based(&permutation)?;
-        store.log(format!(
-            "[tbs] synthesized {} gates on {} lines",
-            circuit.num_gates(),
-            circuit.num_lines()
-        ));
-        store.set_reversible(circuit);
-        Ok(())
+    if let Some(c) = artifacts.reversible {
+        store.set_reversible(c);
     }
+    if let Some(c) = artifacts.quantum {
+        store.set_quantum(c);
+    }
+    if let Some(s) = artifacts.qasm_source {
+        store.set_qasm_source(s);
+    }
+    Ok(report)
 }
 
-/// `dbs` — decomposition-based synthesis.
-pub struct Dbs;
-
-impl Command for Dbs {
-    fn name(&self) -> &'static str {
-        "dbs"
-    }
-
-    fn description(&self) -> &'static str {
-        "decomposition-based (Young subgroup) reversible synthesis of the current permutation"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let permutation = store
-            .permutation()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "permutation",
-            })?
-            .clone();
-        let circuit = synthesis::decomposition_based(&permutation)?;
-        store.log(format!(
-            "[dbs] synthesized {} gates on {} lines",
-            circuit.num_gates(),
-            circuit.num_lines()
-        ));
-        store.set_reversible(circuit);
-        Ok(())
-    }
-}
-
-/// `esopbs` — ESOP-based synthesis of a single-output Boolean function.
-pub struct Esopbs;
-
-impl Command for Esopbs {
-    fn name(&self) -> &'static str {
-        "esopbs"
-    }
-
-    fn description(&self) -> &'static str {
-        "ESOP-based synthesis (Bennett embedding) of the current Boolean function"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let function = store
-            .function()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "boolean function",
-            })?
-            .clone();
-        let circuit = synthesis::esop_based_single(&function, EsopSynthesisOptions::default())?;
-        store.log(format!(
-            "[esopbs] synthesized {} gates on {} lines",
-            circuit.num_gates(),
-            circuit.num_lines()
-        ));
-        store.set_reversible(circuit);
-        Ok(())
-    }
-}
-
-/// `revsimp` — reversible circuit simplification.
-pub struct Revsimp;
-
-impl Command for Revsimp {
-    fn name(&self) -> &'static str {
-        "revsimp"
-    }
-
-    fn description(&self) -> &'static str {
-        "simplify the current reversible circuit (cancellation and control merging)"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let circuit = store
-            .reversible()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "reversible circuit",
-            })?
-            .clone();
-        let before = circuit.num_gates();
-        let (simplified, stats) = revopt::simplify(&circuit);
-        store.log(format!(
-            "[revsimp] {before} -> {} gates ({} cancellations, {} merges)",
-            simplified.num_gates(),
-            stats.cancellations,
-            stats.merges
-        ));
-        store.set_reversible(simplified);
-        Ok(())
-    }
-}
-
-/// `rptm` — reversible-to-quantum mapping.
-pub struct Rptm;
-
-impl Command for Rptm {
-    fn name(&self) -> &'static str {
-        "rptm"
-    }
-
-    fn description(&self) -> &'static str {
-        "map the current reversible circuit to a Clifford+T quantum circuit"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let circuit = store
-            .reversible()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "reversible circuit",
-            })?
-            .clone();
-        let quantum = map::to_clifford_t(&circuit, &map::MappingOptions::default())?;
-        store.log(format!(
-            "[rptm] mapped to {} Clifford+T gates on {} qubits (T-count {})",
-            quantum.num_gates(),
-            quantum.num_qubits(),
-            quantum.t_count()
-        ));
-        store.set_quantum(quantum);
-        Ok(())
-    }
-}
-
-/// `tpar` — T-count optimization.
-pub struct Tpar;
-
-impl Command for Tpar {
-    fn name(&self) -> &'static str {
-        "tpar"
-    }
-
-    fn description(&self) -> &'static str {
-        "optimize the T-count of the current quantum circuit by phase folding"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let circuit = store
-            .quantum()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "quantum circuit",
-            })?
-            .clone();
-        let before = circuit.t_count();
-        let optimized = optimize::optimize_clifford_t(&circuit);
-        store.log(format!(
-            "[tpar] T-count {before} -> {}, gates {} -> {}",
-            optimized.t_count(),
-            circuit.num_gates(),
-            optimized.num_gates()
-        ));
-        store.set_quantum(optimized);
-        Ok(())
-    }
-}
-
-/// `ps` — print statistics.
+/// `ps` — print statistics: one line per store entry, in the wording of the
+/// pipeline's `ps` pass.
 pub struct Ps;
 
 impl Command for Ps {
@@ -351,48 +236,23 @@ impl Command for Ps {
     }
 
     fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let mut printed = false;
-        if let Some(reversible) = store.reversible().cloned() {
-            let profile = reversible.gate_profile();
-            store.log(format!(
-                "[ps] reversible circuit: {} lines, {} gates ({profile}), quantum cost {}",
-                reversible.num_lines(),
-                reversible.num_gates(),
-                reversible.quantum_cost()
-            ));
-            printed = true;
+        let entries: Vec<Ir> = [
+            store.reversible().cloned().map(Ir::from),
+            store.quantum().cloned().map(Ir::from),
+            store.permutation().cloned().map(Ir::from),
+            store.function().cloned().map(Ir::from),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        if entries.is_empty() {
+            store.log("[ps] store is empty");
         }
-        if let Some(quantum) = store.quantum().cloned() {
-            let counts = ResourceCounts::of(&quantum);
-            store.log(format!(
-                "[ps] quantum circuit: {} qubits, {} gates, depth {}, T-count {}, T-depth {}, CNOTs {}",
-                counts.num_qubits,
-                counts.total_gates,
-                counts.depth,
-                counts.t_count,
-                counts.t_depth,
-                counts.cnot_count
-            ));
-            printed = true;
-        }
-        if let Some(permutation) = store.permutation() {
-            store.log(format!(
-                "[ps] permutation on {} variables ({} fixed points)",
-                permutation.num_vars(),
-                permutation.fixed_points()
-            ));
-            printed = true;
-        }
-        if let Some(function) = store.function() {
-            store.log(format!(
-                "[ps] boolean function on {} variables ({} ones)",
-                function.num_vars(),
-                function.count_ones()
-            ));
-            printed = true;
-        }
-        if !printed {
-            store.log("[ps] store is empty".to_owned());
+        for entry in &entries {
+            let summary = passes::Ps
+                .summarize(entry)
+                .expect("ps summarizes every stage");
+            store.log(format!("[ps] {summary}"));
         }
         Ok(())
     }
@@ -425,48 +285,14 @@ impl Command for Simulate {
                 expected: "quantum circuit",
             })?
             .clone();
-        let matches = quantum_matches_reversible_with(&quantum, &reversible, &store.exec_config())?;
+        let matches =
+            verify::quantum_matches_reversible_with(&quantum, &reversible, &store.exec_config())?;
         store.log(format!(
             "[simulate] quantum circuit {} the reversible specification",
             if matches { "matches" } else { "DOES NOT match" }
         ));
         Ok(())
     }
-}
-
-/// Verifies (by exhaustive basis-state simulation) that `quantum` realizes the
-/// same permutation as `reversible` on the original lines, with ancillas
-/// returned to zero. Uses the default execution configuration.
-///
-/// Thin wrapper around [`qdaflow_mapping::verify::quantum_matches_reversible`],
-/// the shared implementation used by the shell, the pipeline layer and the
-/// test-suites.
-///
-/// # Errors
-///
-/// Propagates simulation errors (for example a circuit that is too large).
-pub fn quantum_matches_reversible(
-    quantum: &qdaflow_quantum::QuantumCircuit,
-    reversible: &qdaflow_reversible::ReversibleCircuit,
-) -> Result<bool, RevkitError> {
-    Ok(verify::quantum_matches_reversible(quantum, reversible)?)
-}
-
-/// [`quantum_matches_reversible`] with an explicit execution configuration.
-/// The quantum circuit is compiled once to a fused program and replayed on
-/// every basis state.
-///
-/// # Errors
-///
-/// Propagates simulation errors (for example a circuit that is too large).
-pub fn quantum_matches_reversible_with(
-    quantum: &qdaflow_quantum::QuantumCircuit,
-    reversible: &qdaflow_reversible::ReversibleCircuit,
-    config: &ExecConfig,
-) -> Result<bool, RevkitError> {
-    Ok(verify::quantum_matches_reversible_with(
-        quantum, reversible, config,
-    )?)
 }
 
 /// `flow` — run a whole pass pipeline through the typed pass manager.
@@ -479,49 +305,6 @@ pub fn quantum_matches_reversible_with(
 /// seeded from the store when it starts with a non-generator pass, and
 /// writes every produced artifact back into the store.
 pub struct Flow;
-
-impl Flow {
-    fn seed(
-        &self,
-        pipeline: &Pipeline,
-        store: &Store,
-    ) -> Result<qdaflow_pipeline::Ir, RevkitError> {
-        let accepted = pipeline.input_stages();
-        for stage in accepted.stages() {
-            match stage {
-                Stage::Permutation => {
-                    if let Some(p) = store.permutation() {
-                        return Ok(p.clone().into());
-                    }
-                }
-                Stage::Function => {
-                    if let Some(f) = store.function() {
-                        return Ok(f.clone().into());
-                    }
-                }
-                Stage::Reversible => {
-                    if let Some(c) = store.reversible() {
-                        return Ok(c.clone().into());
-                    }
-                }
-                Stage::Quantum => {
-                    if let Some(c) = store.quantum() {
-                        return Ok(c.clone().into());
-                    }
-                }
-                Stage::QasmSource => {
-                    if let Some(s) = store.qasm_source() {
-                        return Ok(Ir::QasmSource(s.to_owned()));
-                    }
-                }
-            }
-        }
-        Err(RevkitError::MissingStoreEntry {
-            command: "flow",
-            expected: "specification or circuit matching the pipeline input",
-        })
-    }
-}
 
 impl Command for Flow {
     fn name(&self) -> &'static str {
@@ -548,11 +331,7 @@ impl Command for Flow {
         }
         let script = script_args.join(" ");
         let pipeline = Pipeline::parse(&script)?;
-        let report = if pipeline.is_generated() {
-            pipeline.run_generated()?
-        } else {
-            pipeline.run(self.seed(&pipeline, store)?)?
-        };
+        let report = run_on_store(self.name(), &pipeline, store)?;
         for record in &report.passes {
             store.log(format!("[flow] {}", record.summary()));
             if let Some(census) = &record.census {
@@ -589,22 +368,6 @@ impl Command for Flow {
                 passes.join(","),
                 report.total_duration().as_micros()
             ));
-        }
-        let artifacts = report.artifacts;
-        if let Some(p) = artifacts.permutation {
-            store.set_permutation(p);
-        }
-        if let Some(f) = artifacts.function {
-            store.set_function(f);
-        }
-        if let Some(c) = artifacts.reversible {
-            store.set_reversible(c);
-        }
-        if let Some(c) = artifacts.quantum {
-            store.set_quantum(c);
-        }
-        if let Some(s) = artifacts.qasm_source {
-            store.set_qasm_source(s);
         }
         Ok(())
     }
@@ -1202,10 +965,17 @@ mod tests {
         command.execute(&args, store)
     }
 
+    fn stage(name: &str) -> PassCommand {
+        PassCommand::STAGES
+            .into_iter()
+            .find(|command| command.name == name)
+            .expect("a stage command")
+    }
+
     #[test]
     fn revgen_hwb_sets_a_permutation() {
         let mut store = Store::new();
-        run(&Revgen, &["--hwb", "3"], &mut store).unwrap();
+        run(&stage("revgen"), &["--hwb", "3"], &mut store).unwrap();
         assert_eq!(store.permutation().unwrap().num_vars(), 3);
     }
 
@@ -1213,11 +983,11 @@ mod tests {
     fn revgen_requires_a_mode() {
         let mut store = Store::new();
         assert!(matches!(
-            run(&Revgen, &[], &mut store),
+            run(&stage("revgen"), &[], &mut store),
             Err(RevkitError::InvalidArguments { .. })
         ));
         assert!(matches!(
-            run(&Revgen, &["--hwb", "abc"], &mut store),
+            run(&stage("revgen"), &["--hwb", "abc"], &mut store),
             Err(RevkitError::InvalidArguments { .. })
         ));
     }
@@ -1225,33 +995,64 @@ mod tests {
     #[test]
     fn revgen_parses_explicit_permutations_and_expressions() {
         let mut store = Store::new();
-        run(&Revgen, &["--perm", "0 2 3 5 7 1 4 6"], &mut store).unwrap();
+        run(&stage("revgen"), &["--perm", "0 2 3 5 7 1 4 6"], &mut store).unwrap();
         assert_eq!(store.permutation().unwrap().num_vars(), 3);
-        run(&Revgen, &["--expr", "(a & b) ^ (c & d)"], &mut store).unwrap();
+        run(
+            &stage("revgen"),
+            &["--expr", "(a & b) ^ (c & d)"],
+            &mut store,
+        )
+        .unwrap();
         assert_eq!(store.function().unwrap().num_vars(), 4);
-        run(&Revgen, &["--expr", "a ^ b", "--vars", "5"], &mut store).unwrap();
+        run(
+            &stage("revgen"),
+            &["--expr", "a ^ b", "--vars", "5"],
+            &mut store,
+        )
+        .unwrap();
         assert_eq!(store.function().unwrap().num_vars(), 5);
     }
 
     #[test]
     fn synthesis_commands_require_a_specification() {
         let mut store = Store::new();
-        assert!(matches!(
-            run(&Tbs, &[], &mut store),
-            Err(RevkitError::MissingStoreEntry { .. })
-        ));
-        assert!(matches!(
-            run(&Esopbs, &[], &mut store),
-            Err(RevkitError::MissingStoreEntry { .. })
-        ));
+        for (name, expected) in [
+            ("tbs", "permutation"),
+            ("dbs", "permutation"),
+            ("esopbs", "boolean function"),
+            ("revsimp", "reversible circuit"),
+            ("rptm", "reversible circuit"),
+            ("tpar", "quantum circuit"),
+        ] {
+            let error = run(&stage(name), &[], &mut store).unwrap_err();
+            assert_eq!(
+                error,
+                RevkitError::MissingStoreEntry {
+                    command: stage(name).name,
+                    expected,
+                },
+                "{name}"
+            );
+        }
+        // The pass grammar rejects stray arguments, blamed on the command.
+        run(&stage("revgen"), &["--hwb", "3"], &mut store).unwrap();
+        for name in ["tbs", "dbs", "esopbs", "revsimp", "rptm", "tpar"] {
+            assert!(
+                matches!(
+                    run(&stage(name), &["extra"], &mut store),
+                    Err(RevkitError::InvalidArguments { command, .. }) if command == name
+                ),
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn tbs_and_dbs_fill_the_reversible_store() {
-        for synthesizer in [&Tbs as &dyn Command, &Dbs as &dyn Command] {
+        for synthesizer in [stage("tbs"), stage("dbs")] {
             let mut store = Store::new();
-            run(&Revgen, &["--hwb", "4"], &mut store).unwrap();
-            run(synthesizer, &[], &mut store).unwrap();
+            run(&stage("revgen"), &["--hwb", "4"], &mut store).unwrap();
+            run(&synthesizer, &[], &mut store).unwrap();
             let circuit = store.reversible().unwrap();
             assert!(qdaflow_reversible::simulation::realizes_permutation(
                 circuit,
@@ -1263,19 +1064,24 @@ mod tests {
     #[test]
     fn esopbs_synthesizes_functions() {
         let mut store = Store::new();
-        run(&Revgen, &["--expr", "(a & b) ^ (c & d)"], &mut store).unwrap();
-        run(&Esopbs, &[], &mut store).unwrap();
+        run(
+            &stage("revgen"),
+            &["--expr", "(a & b) ^ (c & d)"],
+            &mut store,
+        )
+        .unwrap();
+        run(&stage("esopbs"), &[], &mut store).unwrap();
         assert_eq!(store.reversible().unwrap().num_lines(), 5);
     }
 
     #[test]
     fn full_pipeline_commands_compose() {
         let mut store = Store::new();
-        run(&Revgen, &["--hwb", "4"], &mut store).unwrap();
-        run(&Tbs, &[], &mut store).unwrap();
-        run(&Revsimp, &[], &mut store).unwrap();
-        run(&Rptm, &[], &mut store).unwrap();
-        run(&Tpar, &[], &mut store).unwrap();
+        run(&stage("revgen"), &["--hwb", "4"], &mut store).unwrap();
+        run(&stage("tbs"), &[], &mut store).unwrap();
+        run(&stage("revsimp"), &[], &mut store).unwrap();
+        run(&stage("rptm"), &[], &mut store).unwrap();
+        run(&stage("tpar"), &[], &mut store).unwrap();
         run(&Ps, &["-c"], &mut store).unwrap();
         run(&Simulate, &[], &mut store).unwrap();
         run(&Qasm, &[], &mut store).unwrap();

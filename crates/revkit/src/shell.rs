@@ -189,7 +189,30 @@ mod tests {
         // The produced circuits agree with each other.
         let quantum = shell.store().quantum().unwrap().clone();
         let reversible = shell.store().reversible().unwrap().clone();
-        assert!(crate::command::quantum_matches_reversible(&quantum, &reversible).unwrap());
+        assert!(
+            qdaflow_mapping::verify::quantum_matches_reversible(&quantum, &reversible).unwrap()
+        );
+    }
+
+    #[test]
+    fn stage_commands_log_the_line_flow_prints() {
+        // A pass summary ends in " (<duration>)", which differs run to run.
+        let untimed = |line: &str| line.rsplit_once(" (").unwrap().0.to_owned();
+        let script = "revgen --hwb 3; tbs; revsimp; rptm; tpar";
+        let staged = Shell::new().run_script(script).unwrap();
+        let flowed = Shell::new()
+            .run_script(&format!("flow \"{script}\""))
+            .unwrap();
+        for name in ["revgen", "tbs", "revsimp", "rptm", "tpar"] {
+            let prefix = format!("[{name}] ");
+            let staged = staged.iter().find_map(|l| l.strip_prefix(&prefix)).unwrap();
+            let flowed = flowed
+                .iter()
+                .filter_map(|l| l.strip_prefix("[flow] "))
+                .find(|l| l.starts_with(name))
+                .unwrap();
+            assert_eq!(untimed(staged), untimed(flowed), "{name}");
+        }
     }
 
     #[test]

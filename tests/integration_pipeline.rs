@@ -103,7 +103,9 @@ proptest! {
 
     /// The acceptance property of the redesign: for random permutations and
     /// both synthesis routes, the *parsed* shell-syntax pipeline produces
-    /// circuits and reports bit-identical to `flow::compile_permutation`.
+    /// circuits and reports bit-identical to `flow::compile_permutation`,
+    /// and the shell leaves the same circuits in its store whether the
+    /// stages are typed as separate commands or as one `flow` script.
     #[test]
     fn parsed_pipeline_is_bit_identical_to_the_canned_flow(
         num_vars in 2usize..=4,
@@ -119,6 +121,20 @@ proptest! {
         let report = Pipeline::parse(script).unwrap().run(pi.clone().into()).unwrap();
         let canned = flow::compile_permutation(&pi, method).unwrap();
         prop_assert_eq!(report.final_quantum().unwrap(), &canned.circuit);
+        let images: Vec<String> = pi.as_slice().iter().map(usize::to_string).collect();
+        let stages = format!(
+            "revgen --perm {}; {}; revsimp; rptm; tpar",
+            images.join(","),
+            method.command_name()
+        );
+        let mut commands = Shell::new();
+        commands.run_script(&stages).unwrap();
+        let mut flowed = Shell::new();
+        flowed.run_script(&format!("flow \"{stages}\"")).unwrap();
+        for shell in [&commands, &flowed] {
+            prop_assert_eq!(shell.store().reversible(), report.artifacts.reversible.as_ref());
+            prop_assert_eq!(shell.store().quantum().unwrap(), &canned.circuit);
+        }
         prop_assert_eq!(
             report.gates_after(method.command_name()).unwrap(),
             canned.reversible_gates

@@ -1,7 +1,7 @@
 //! Integration tests of the RevKit-style shell against the rest of the flow.
 
+use qdaflow::mapping::verify::quantum_matches_reversible;
 use qdaflow::prelude::*;
-use qdaflow::revkit::command::quantum_matches_reversible;
 
 #[test]
 fn paper_pipeline_produces_a_verified_clifford_t_circuit() {
