@@ -198,19 +198,30 @@ impl SimulatedState {
             )
             .add(shots as u64);
         let _span = telemetry::span!("sampling", "sample {shots} shots ({shards} shards)");
+        // The compiled program counted its resources once, at compile time.
+        let resources = program.resources().clone();
         match self {
             Self::Dense(state) => {
                 let histogram = state.sample_counts_sharded(seed, shots, config);
-                ExecutionResult::from_histogram(program.circuit(), shots, &histogram)
+                // Borrowed, not consumed: the 2^n-entry histogram is freed
+                // only after the counts are built. Freeing it first changed
+                // where the allocator put the counts, so the worker's heap
+                // was trimmed and refaulted on every job: dense 20-qubit
+                // jobs ran ~10% slower with 16 MB less peak memory.
+                ExecutionResult::with_resources(
+                    resources,
+                    shots,
+                    histogram.iter().copied().enumerate(),
+                )
             }
             Self::Sparse(state) => {
                 let counts =
                     qdaflow_sparse::widen_counts(state.sample_counts_sharded(seed, shots, config));
-                ExecutionResult::from_counts(program.circuit(), shots, counts)
+                ExecutionResult::with_resources(resources, shots, counts)
             }
             Self::Stabilizer(sampler) => {
                 let counts = sampler.sample_counts_sharded(seed, shots, config);
-                ExecutionResult::from_counts(program.circuit(), shots, counts)
+                ExecutionResult::with_resources(resources, shots, counts)
             }
         }
     }
@@ -516,6 +527,7 @@ mod tests {
     use super::*;
     use crate::oracle::SynthesisChoice;
     use qdaflow_boolfn::{Permutation, TruthTable};
+    use qdaflow_quantum::resource::ResourceCounts;
 
     /// The Fig. 4 hidden-shift program at `n` qubits as pure-Clifford QASM:
     /// the bent function f(x) = Σ x_{2i}·x_{2i+1} is a layer of CZ pairs
@@ -772,6 +784,44 @@ mod tests {
         // reuses those programs through tagged-slot aliases instead of
         // compiling again.
         assert_eq!(engine.cache().stats().misses, 3);
+    }
+
+    #[test]
+    fn auto_resolution_and_execution_share_one_circuit() {
+        let engine = BatchEngine::new();
+        let job = BatchJob::new(
+            OracleSpec::qasm(clifford_hidden_shift_qasm(8, 0b1001_0110)),
+            16,
+            1,
+        )
+        .with_backend(BackendChoice::Auto);
+        engine.run_batch(std::slice::from_ref(&job)).unwrap();
+        let raw = engine.cache().peek(job.spec.cache_key()).unwrap();
+        let resolved = engine
+            .cache()
+            .peek(cache_key_on(&job.spec, BackendChoice::Stabilizer))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&raw, &resolved));
+        assert!(std::ptr::eq(raw.circuit(), resolved.circuit()));
+    }
+
+    #[test]
+    fn batch_results_carry_the_programs_resource_counts() {
+        let source = clifford_hidden_shift_qasm(6, 0b10_1101);
+        let expected = ResourceCounts::of(&qdaflow_quantum::qasm::from_qasm(&source).unwrap());
+        let jobs: Vec<BatchJob> = [
+            BackendChoice::Dense,
+            BackendChoice::Sparse,
+            BackendChoice::Stabilizer,
+        ]
+        .into_iter()
+        .map(|backend| BatchJob::new(OracleSpec::qasm(source.clone()), 32, 3).with_backend(backend))
+        .collect();
+        for result in BatchEngine::new().run_batch(&jobs).unwrap() {
+            assert_eq!(result.resources, expected);
+            assert_eq!(result.num_qubits, 6);
+            assert_eq!(result.counts.values().sum::<usize>(), 32);
+        }
     }
 
     #[test]

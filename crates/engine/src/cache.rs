@@ -218,18 +218,20 @@ impl OracleSpec {
 }
 
 /// A compiled, immutable oracle: the circuit plus the metadata the batch
-/// layer reports. Shared via `Arc` between the cache and all jobs using it.
+/// layer reports. Shared via `Arc` between the cache and all jobs using it;
+/// the circuit is shared again by every cache slot aliasing the program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     key: SpecKey,
-    circuit: QuantumCircuit,
+    circuit: Arc<QuantumCircuit>,
     resources: ResourceCounts,
     compile_time: Duration,
 }
 
 impl CompiledProgram {
-    /// Rebuilds a program from its persisted parts (the disk-cache load
-    /// path); resource counts are recomputed — they are cheap and derived.
+    /// Builds a program from a fresh compilation or a disk-cache load; the
+    /// resource counts are computed here, once per program, and reused by
+    /// every job result.
     pub(crate) fn from_parts(
         key: SpecKey,
         circuit: QuantumCircuit,
@@ -238,7 +240,7 @@ impl CompiledProgram {
         Self {
             key,
             resources: ResourceCounts::of(&circuit),
-            circuit,
+            circuit: Arc::new(circuit),
             compile_time,
         }
     }
@@ -362,12 +364,7 @@ impl OracleCache {
             let _span = telemetry::span!("cache", "compile {key:?}");
             spec.compile()?
         };
-        let program = Arc::new(CompiledProgram {
-            key,
-            resources: ResourceCounts::of(&circuit),
-            circuit,
-            compile_time: start.elapsed(),
-        });
+        let program = Arc::new(CompiledProgram::from_parts(key, circuit, start.elapsed()));
         // The compile wall time used to be recorded on the program and then
         // forgotten; feed it into the unified histogram so `batch --stats`
         // can report compilation latency.
@@ -396,7 +393,7 @@ impl OracleCache {
         }
         let aliased = Arc::new(CompiledProgram {
             key,
-            circuit: program.circuit.clone(),
+            circuit: Arc::clone(&program.circuit),
             resources: program.resources.clone(),
             compile_time: program.compile_time,
         });
@@ -526,6 +523,25 @@ mod tests {
             .get_or_compile(&OracleSpec::qasm("qreg q[1];\nbad"))
             .is_err());
         assert_eq!(cache.stats().entries, entries);
+    }
+
+    #[test]
+    fn aliased_slots_share_the_compiled_circuit() {
+        let cache = OracleCache::new();
+        let spec = OracleSpec::permutation(example_permutation(), SynthesisChoice::default());
+        let program = cache.get_or_compile(&spec).unwrap();
+        let alias_key = SpecKey(program.key().0 ^ 1);
+        let aliased = cache.alias_keyed(alias_key, &program);
+        assert_eq!(aliased.key(), alias_key);
+        assert!(Arc::ptr_eq(&aliased.circuit, &program.circuit));
+        assert_eq!(aliased.resources(), program.resources());
+        // The slot is now taken: aliasing again returns the stored entry.
+        assert!(Arc::ptr_eq(
+            &cache.alias_keyed(alias_key, &program),
+            &aliased
+        ));
+        assert!(Arc::ptr_eq(&cache.peek(alias_key).unwrap(), &aliased));
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

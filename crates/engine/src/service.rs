@@ -67,7 +67,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -652,7 +652,19 @@ impl JobService {
 
 impl Drop for JobService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Raised under the state lock: a worker reads the flag and starts
+        // waiting on `wake` under that lock, so it either sees the flag or
+        // is already waiting when the notification below is sent. Raised
+        // outside it, the notification could fall between the two and the
+        // join below would wait forever.
+        {
+            let _state = self
+                .inner
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.wake.notify_all();
         self.inner.done.notify_all();
         for worker in self.workers.drain(..) {

@@ -45,17 +45,11 @@ impl ExecutionResult {
     /// constructor, so the shape of [`ExecutionResult`] stays identical
     /// across execution paths.
     pub fn from_histogram(circuit: &QuantumCircuit, shots: usize, histogram: &[usize]) -> Self {
-        Self {
-            num_qubits: circuit.num_qubits(),
+        Self::with_resources(
+            ResourceCounts::of(circuit),
             shots,
-            counts: histogram
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(outcome, &count)| (outcome, count))
-                .collect(),
-            resources: ResourceCounts::of(circuit),
-        }
+            histogram.iter().copied().enumerate(),
+        )
     }
 
     /// Builds the result of a sampling backend from a *sparse* histogram of
@@ -71,11 +65,25 @@ impl ExecutionResult {
         shots: usize,
         counts: BTreeMap<usize, usize>,
     ) -> Self {
+        Self::with_resources(ResourceCounts::of(circuit), shots, counts)
+    }
+
+    /// Builds a sampling result from `(outcome, count)` pairs and the
+    /// executed circuit's resource counts, for callers that run one circuit
+    /// many times and count its resources once. Zero counts are dropped;
+    /// [`ExecutionResult::from_histogram`] and
+    /// [`ExecutionResult::from_counts`] are this constructor over
+    /// [`ResourceCounts::of`].
+    pub fn with_resources(
+        resources: ResourceCounts,
+        shots: usize,
+        counts: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Self {
         Self {
-            num_qubits: circuit.num_qubits(),
+            num_qubits: resources.num_qubits,
             shots,
             counts: counts.into_iter().filter(|&(_, count)| count > 0).collect(),
-            resources: ResourceCounts::of(circuit),
+            resources,
         }
     }
 

@@ -56,6 +56,24 @@ impl QuantumCircuit {
         self.gates.is_empty()
     }
 
+    /// Builds a circuit over `num_qubits` qubits from a gate list, taking
+    /// the list as the circuit's storage.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`QuantumCircuit::push`] would report, in gate order.
+    pub(crate) fn from_gates(
+        num_qubits: usize,
+        gates: Vec<QuantumGate>,
+    ) -> Result<Self, QuantumError> {
+        let mut circuit = Self::new(num_qubits);
+        for gate in &gates {
+            circuit.check(gate)?;
+        }
+        circuit.gates = gates;
+        Ok(circuit)
+    }
+
     /// Appends a gate to the circuit.
     ///
     /// # Errors
@@ -64,24 +82,24 @@ impl QuantumCircuit {
     /// qubit `>= num_qubits` and [`QuantumError::DuplicateQubit`] if it
     /// references the same qubit twice.
     pub fn push(&mut self, gate: QuantumGate) -> Result<(), QuantumError> {
-        let qubits = gate.qubits();
-        for &qubit in &qubits {
-            if qubit >= self.num_qubits {
-                return Err(QuantumError::QubitOutOfRange {
-                    qubit,
-                    num_qubits: self.num_qubits,
-                });
-            }
-        }
-        let mut sorted = qubits;
-        sorted.sort_unstable();
-        for pair in sorted.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(QuantumError::DuplicateQubit { qubit: pair[0] });
-            }
-        }
+        self.check(&gate)?;
         self.gates.push(gate);
         Ok(())
+    }
+
+    /// The validation behind [`QuantumCircuit::push`]; allocates nothing
+    /// for gates on at most three qubits.
+    fn check(&self, gate: &QuantumGate) -> Result<(), QuantumError> {
+        if let Some(qubit) = gate.iter_qubits().find(|&qubit| qubit >= self.num_qubits) {
+            return Err(QuantumError::QubitOutOfRange {
+                qubit,
+                num_qubits: self.num_qubits,
+            });
+        }
+        match gate.duplicate_qubit() {
+            Some(qubit) => Err(QuantumError::DuplicateQubit { qubit }),
+            None => Ok(()),
+        }
     }
 
     /// Appends every gate of `other`.
@@ -132,9 +150,13 @@ impl QuantumCircuit {
         let mut layer_of_qubit = vec![0usize; self.num_qubits];
         let mut depth = 0usize;
         for gate in &self.gates {
-            let qubits = gate.qubits();
-            let layer = qubits.iter().map(|&q| layer_of_qubit[q]).max().unwrap_or(0) + 1;
-            for &q in &qubits {
+            let layer = gate
+                .iter_qubits()
+                .map(|q| layer_of_qubit[q])
+                .max()
+                .unwrap_or(0)
+                + 1;
+            for q in gate.iter_qubits() {
                 layer_of_qubit[q] = layer;
             }
             depth = depth.max(layer);
@@ -149,11 +171,14 @@ impl QuantumCircuit {
         let mut layer_of_qubit = vec![0usize; self.num_qubits];
         let mut t_depth = 0usize;
         for gate in &self.gates {
-            let qubits = gate.qubits();
             let is_t = gate.t_count() > 0;
-            let layer =
-                qubits.iter().map(|&q| layer_of_qubit[q]).max().unwrap_or(0) + usize::from(is_t);
-            for &q in &qubits {
+            let layer = gate
+                .iter_qubits()
+                .map(|q| layer_of_qubit[q])
+                .max()
+                .unwrap_or(0)
+                + usize::from(is_t);
+            for q in gate.iter_qubits() {
                 layer_of_qubit[q] = layer;
             }
             t_depth = t_depth.max(layer);
@@ -309,6 +334,115 @@ mod tests {
         assert_eq!(circuit.t_depth(), 2);
         assert_eq!(bell().t_count(), 0);
         assert_eq!(bell().t_depth(), 0);
+    }
+
+    #[test]
+    fn depth_and_t_depth_span_multi_controlled_gates() {
+        let mut circuit = QuantumCircuit::new(5);
+        circuit.push(QuantumGate::T(0)).unwrap();
+        circuit.push(QuantumGate::T(4)).unwrap();
+        // The mcx joins qubits 0..=3, the mcz then joins 2..=4: each waits
+        // for the latest layer among all of its qubits.
+        circuit
+            .push(QuantumGate::Mcx {
+                controls: vec![0, 1, 2],
+                target: 3,
+            })
+            .unwrap();
+        circuit
+            .push(QuantumGate::Mcz {
+                qubits: vec![2, 3, 4],
+            })
+            .unwrap();
+        circuit.push(QuantumGate::Tdg(1)).unwrap();
+        circuit.push(QuantumGate::T(3)).unwrap();
+        assert_eq!(circuit.depth(), 4);
+        // T(0) and T(4) share the first T layer; Tdg(1) follows the mcx
+        // (which carries T layer 1 from qubit 0) and T(3) follows the mcz
+        // (which carries it from qubits 0 and 4).
+        assert_eq!(circuit.t_depth(), 2);
+        assert_eq!(circuit.multi_qubit_count(), 2);
+    }
+
+    #[test]
+    fn push_reports_the_smallest_duplicated_qubit() {
+        let mut circuit = QuantumCircuit::new(6);
+        let cases = [
+            (
+                QuantumGate::Ccx {
+                    control_a: 2,
+                    control_b: 1,
+                    target: 2,
+                },
+                2,
+            ),
+            (
+                QuantumGate::Ccx {
+                    control_a: 4,
+                    control_b: 4,
+                    target: 4,
+                },
+                4,
+            ),
+            (
+                QuantumGate::Mcx {
+                    controls: vec![5, 3, 5, 3],
+                    target: 0,
+                },
+                3,
+            ),
+            (
+                QuantumGate::Mcz {
+                    qubits: vec![1, 2, 1],
+                },
+                1,
+            ),
+            (QuantumGate::Swap { a: 3, b: 3 }, 3),
+        ];
+        for (gate, qubit) in cases {
+            assert_eq!(
+                circuit.push(gate),
+                Err(QuantumError::DuplicateQubit { qubit })
+            );
+        }
+        // Range is checked before duplicates.
+        assert_eq!(
+            circuit.push(QuantumGate::Mcx {
+                controls: vec![1, 1],
+                target: 9,
+            }),
+            Err(QuantumError::QubitOutOfRange {
+                qubit: 9,
+                num_qubits: 6,
+            })
+        );
+        assert!(circuit.is_empty());
+    }
+
+    #[test]
+    fn from_gates_validates_like_push() {
+        let gates = vec![
+            QuantumGate::H(0),
+            QuantumGate::Cx {
+                control: 0,
+                target: 1,
+            },
+        ];
+        let circuit = QuantumCircuit::from_gates(2, gates.clone()).unwrap();
+        assert_eq!(circuit.gates(), &gates[..]);
+        assert_eq!(circuit, bell());
+        // The first invalid gate in order is reported.
+        assert_eq!(
+            QuantumCircuit::from_gates(
+                2,
+                vec![
+                    QuantumGate::H(0),
+                    QuantumGate::Swap { a: 1, b: 1 },
+                    QuantumGate::X(5)
+                ]
+            ),
+            Err(QuantumError::DuplicateQubit { qubit: 1 })
+        );
     }
 
     #[test]

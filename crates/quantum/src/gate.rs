@@ -84,7 +84,15 @@ pub enum QuantumGate {
 impl QuantumGate {
     /// The qubits the gate acts on, in declaration order.
     pub fn qubits(&self) -> Vec<usize> {
-        match self {
+        self.iter_qubits().collect()
+    }
+
+    /// The qubits the gate acts on, in the order of
+    /// [`QuantumGate::qubits`], without allocating: gates on at most three
+    /// qubits yield them from an inline array, `mcx`/`mcz` from their own
+    /// lists.
+    pub(crate) fn iter_qubits(&self) -> impl Iterator<Item = usize> + '_ {
+        let (list, fixed, len): (&[usize], [usize; 3], usize) = match self {
             Self::H(q)
             | Self::X(q)
             | Self::Y(q)
@@ -92,21 +100,52 @@ impl QuantumGate {
             | Self::S(q)
             | Self::Sdg(q)
             | Self::T(q)
-            | Self::Tdg(q) => vec![*q],
-            Self::Rz { qubit, .. } => vec![*qubit],
-            Self::Cx { control, target } => vec![*control, *target],
-            Self::Cz { a, b } | Self::Swap { a, b } => vec![*a, *b],
+            | Self::Tdg(q)
+            | Self::Rz { qubit: q, .. } => (&[], [*q, 0, 0], 1),
+            Self::Cx {
+                control: a,
+                target: b,
+            }
+            | Self::Cz { a, b }
+            | Self::Swap { a, b } => (&[], [*a, *b, 0], 2),
             Self::Ccx {
                 control_a,
                 control_b,
                 target,
-            } => vec![*control_a, *control_b, *target],
-            Self::Mcx { controls, target } => {
-                let mut qubits = controls.clone();
-                qubits.push(*target);
-                qubits
+            } => (&[], [*control_a, *control_b, *target], 3),
+            Self::Mcx { controls, target } => (controls, [*target, 0, 0], 1),
+            Self::Mcz { qubits } => (qubits, [0; 3], 0),
+        };
+        list.iter().copied().chain(fixed.into_iter().take(len))
+    }
+
+    /// The smallest qubit the gate names more than once, if any. Gates on
+    /// at most three qubits are checked pair by pair, without allocating.
+    pub(crate) fn duplicate_qubit(&self) -> Option<usize> {
+        match self {
+            Self::Cx {
+                control: a,
+                target: b,
             }
-            Self::Mcz { qubits } => qubits.clone(),
+            | Self::Cz { a, b }
+            | Self::Swap { a, b } => (a == b).then_some(*a),
+            Self::Ccx {
+                control_a: a,
+                control_b: b,
+                target: c,
+            } => [(a, b), (a, c), (b, c)]
+                .into_iter()
+                .find(|(x, y)| x == y)
+                .map(|(x, _)| *x),
+            Self::Mcx { .. } | Self::Mcz { .. } => {
+                let mut sorted = self.qubits();
+                sorted.sort_unstable();
+                sorted
+                    .windows(2)
+                    .find(|pair| pair[0] == pair[1])
+                    .map(|pair| pair[0])
+            }
+            _ => None,
         }
     }
 
@@ -134,7 +173,7 @@ impl QuantumGate {
 
     /// Number of qubits the gate acts on.
     pub fn arity(&self) -> usize {
-        self.qubits().len()
+        self.iter_qubits().count()
     }
 
     /// The adjoint (inverse) of the gate.

@@ -27,8 +27,35 @@
 //! `cu1`/`cp` (decomposed inline; `cu1(pi)` is exactly `cz`). Gates that
 //! have no exact form in our gate set (`rx`, `ry`, `u2`, `u3`, ...) are
 //! rejected with a typed error naming the gate.
+//!
+//! # Front-end design and allocation contract
+//!
+//! Importing is the largest step of a job that arrives as text, so the
+//! front end does no work per token beyond scanning it:
+//!
+//! - The lexer scans the source's bytes on demand, one token of lookahead.
+//!   A token borrows its text as a `&str` slice of the source and records
+//!   only its byte offset. Line and column are worked out from that offset
+//!   when an error is reported: lines end at `\n`, and columns count
+//!   characters, not bytes.
+//! - Names dispatch as `&str`: keywords, gate names, and the register and
+//!   gate-definition tables, which are keyed by slices of the source.
+//! - Each gate application keeps its qubit arguments, resolved qubits and
+//!   angle values in fixed-size inline buffers. Gates with at most three
+//!   qubits and one angle, which is every builtin, never touch the heap.
+//!   Angle expressions compile to postfix code in one buffer that is reused
+//!   from statement to statement.
+//!
+//! Importing allocates the circuit's gate list, which becomes the returned
+//! circuit's storage, and the register and definition tables. Only `gate`
+//! definitions allocate per statement: each stores its body, with compiled
+//! angle code and argument positions. The importer owns no `String` except
+//! the message of the error it returns. Error precedence is that of a
+//! lexer run over the whole source first: a lexical error anywhere
+//! outranks every parse error, and a gate that names a qubit twice is
+//! reported only if the rest of the program parses.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::{QuantumCircuit, QuantumError, QuantumGate};
@@ -145,8 +172,14 @@ const MAX_PROGRAM_GATES: usize = 1 << 20;
 /// assert_eq!(circuit.num_gates(), 4);
 /// ```
 pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QuantumError> {
-    let (tokens, end) = lex(source)?;
-    Importer::new(tokens, end).run()
+    let mut importer = Importer::new(source);
+    let outcome = importer.run();
+    // A lexical error anywhere in the source outranks every other error, as
+    // if the whole source had been tokenized before parsing began.
+    match importer.finish_lexing() {
+        Some(error) => Err(error),
+        None => outcome,
+    }
 }
 
 fn err_at(line: usize, column: usize, message: impl Into<String>) -> QuantumError {
@@ -157,243 +190,272 @@ fn err_at(line: usize, column: usize, message: impl Into<String>) -> QuantumErro
     }
 }
 
+/// The error `message` at byte offset `at` of `source`, located by its
+/// 1-based line and column. Only `\n` ends a line, and columns count
+/// characters, not bytes.
+fn error_at(source: &str, at: usize, message: impl Into<String>) -> QuantumError {
+    let before = &source.as_bytes()[..at];
+    let line_start = before
+        .iter()
+        .rposition(|&byte| byte == b'\n')
+        .map_or(0, |newline| newline + 1);
+    let line = 1 + before.iter().filter(|&&byte| byte == b'\n').count();
+    let column = 1 + before[line_start..]
+        .iter()
+        .filter(|&&byte| byte & 0xC0 != 0x80)
+        .count();
+    err_at(line, column, message)
+}
+
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Number(String),
-    Str(String),
+/// A token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Number(&'a str),
+    Str,
     Arrow,
     Sym(char),
 }
 
-impl Tok {
-    fn describe(&self) -> String {
+impl Tok<'_> {
+    fn describe(self) -> String {
         match self {
             Tok::Ident(name) => format!("identifier '{name}'"),
             Tok::Number(text) => format!("number '{text}'"),
-            Tok::Str(_) => "string literal".to_owned(),
+            Tok::Str => "string literal".to_owned(),
             Tok::Arrow => "'->'".to_owned(),
             Tok::Sym(c) => format!("'{c}'"),
         }
     }
 }
 
-#[derive(Debug, Clone)]
-struct Token {
-    tok: Tok,
-    line: usize,
-    column: usize,
+/// A token and the byte offset it starts at; diagnostics turn the offset
+/// into a line and column only when an error is reported.
+#[derive(Debug, Clone, Copy)]
+struct Token<'a> {
+    tok: Tok<'a>,
+    at: usize,
 }
 
-struct Scanner {
-    chars: Vec<char>,
+/// An on-demand tokenizer over the source bytes. Every token other than a
+/// string literal is ASCII, and the scan index only ever stops on a
+/// character boundary, so tokens are slices of the source.
+struct Lexer<'a> {
+    source: &'a str,
     index: usize,
-    line: usize,
-    column: usize,
+    /// The first lexical error; the lexer yields no tokens after it.
+    error: Option<QuantumError>,
 }
 
-impl Scanner {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.index).copied()
-    }
-
-    fn peek_at(&self, ahead: usize) -> Option<char> {
-        self.chars.get(self.index + ahead).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.index += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
+impl<'a> Lexer<'a> {
+    fn new(source: &'a str) -> Self {
+        Self {
+            source,
+            index: 0,
+            error: None,
         }
-        Some(c)
     }
-}
 
-/// Tokenizes a source string, returning the tokens and the position just past
-/// the end of input (for "unexpected end of input" diagnostics).
-fn lex(source: &str) -> Result<(Vec<Token>, (usize, usize)), QuantumError> {
-    let mut scanner = Scanner {
-        chars: source.chars().collect(),
-        index: 0,
-        line: 1,
-        column: 1,
-    };
-    let mut tokens = Vec::new();
-    while let Some(c) = scanner.peek() {
-        let (line, column) = (scanner.line, scanner.column);
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                scanner.bump();
-            }
-            '/' if scanner.peek_at(1) == Some('/') => {
-                while let Some(consumed) = scanner.bump() {
-                    if consumed == '\n' {
-                        break;
-                    }
+    /// Records a lexical error at the scan index and stops the scan.
+    #[cold]
+    fn fail(&mut self, message: String) -> Option<Token<'a>> {
+        self.error = Some(error_at(self.source, self.index, message));
+        self.index = self.source.len();
+        None
+    }
+
+    /// The next token, or `None` at the end of input or after an error.
+    fn next_token(&mut self) -> Option<Token<'a>> {
+        let (source, bytes) = (self.source, self.source.as_bytes());
+        loop {
+            match *bytes.get(self.index)? {
+                b' ' | b'\t' | b'\r' | b'\n' => self.index += 1,
+                b'/' if bytes.get(self.index + 1) == Some(&b'/') => {
+                    self.index = source[self.index..]
+                        .find('\n')
+                        .map_or(source.len(), |newline| self.index + newline + 1);
                 }
+                _ => break,
             }
-            ';' | ',' | '(' | ')' | '[' | ']' | '{' | '}' | '+' | '*' | '/' | '=' => {
-                scanner.bump();
-                tokens.push(Token {
-                    tok: Tok::Sym(c),
-                    line,
-                    column,
-                });
+        }
+        let at = self.index;
+        let byte = bytes[at];
+        let (tok, len) = match byte {
+            b';' | b',' | b'(' | b')' | b'[' | b']' | b'{' | b'}' | b'+' | b'*' | b'/' | b'=' => {
+                (Tok::Sym(char::from(byte)), 1)
             }
-            '-' => {
-                scanner.bump();
-                if scanner.peek() == Some('>') {
-                    scanner.bump();
-                    tokens.push(Token {
-                        tok: Tok::Arrow,
-                        line,
-                        column,
-                    });
-                } else {
-                    tokens.push(Token {
-                        tok: Tok::Sym('-'),
-                        line,
-                        column,
-                    });
-                }
-            }
-            '"' => {
-                scanner.bump();
-                let mut text = String::new();
-                loop {
-                    match scanner.bump() {
-                        Some('"') => break,
-                        Some(inner) => text.push(inner),
-                        None => {
-                            return Err(err_at(line, column, "unterminated string literal"));
-                        }
-                    }
-                }
-                tokens.push(Token {
-                    tok: Tok::Str(text),
-                    line,
-                    column,
-                });
-            }
-            digit if digit.is_ascii_digit() || digit == '.' => {
-                let mut text = String::new();
-                while let Some(next) = scanner.peek() {
-                    if next.is_ascii_digit() || next == '.' {
-                        text.push(next);
-                        scanner.bump();
-                    } else {
-                        break;
-                    }
-                }
+            b'-' if bytes.get(at + 1) == Some(&b'>') => (Tok::Arrow, 2),
+            b'-' => (Tok::Sym('-'), 1),
+            b'"' => match source[at + 1..].find('"') {
+                // Both quotes plus the text between them, which may span
+                // lines.
+                Some(len) => (Tok::Str, len + 2),
+                None => return self.fail("unterminated string literal".to_owned()),
+            },
+            b'0'..=b'9' | b'.' => {
+                let mut len = count_while(&bytes[at..], |b| b.is_ascii_digit() || b == b'.');
                 // Optional exponent, only when followed by digits.
-                if matches!(scanner.peek(), Some('e' | 'E')) {
-                    let after_sign = match scanner.peek_at(1) {
-                        Some('+' | '-') => 2,
-                        _ => 1,
-                    };
-                    if scanner
-                        .peek_at(after_sign)
-                        .is_some_and(|d| d.is_ascii_digit())
-                    {
-                        for _ in 0..after_sign {
-                            text.push(scanner.bump().expect("peeked"));
-                        }
-                        while let Some(next) = scanner.peek() {
-                            if next.is_ascii_digit() {
-                                text.push(next);
-                                scanner.bump();
-                            } else {
-                                break;
-                            }
-                        }
+                if matches!(bytes.get(at + len), Some(b'e' | b'E')) {
+                    let sign = usize::from(matches!(bytes.get(at + len + 1), Some(b'+' | b'-')));
+                    let digits = count_while(&bytes[at + len + 1 + sign..], |b| b.is_ascii_digit());
+                    if digits > 0 {
+                        len += 1 + sign + digits;
                     }
                 }
-                tokens.push(Token {
-                    tok: Tok::Number(text),
-                    line,
-                    column,
-                });
+                (Tok::Number(&source[at..at + len]), len)
             }
-            alpha if alpha.is_ascii_alphabetic() || alpha == '_' => {
-                let mut text = String::new();
-                while let Some(next) = scanner.peek() {
-                    if next.is_ascii_alphanumeric() || next == '_' {
-                        text.push(next);
-                        scanner.bump();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token {
-                    tok: Tok::Ident(text),
-                    line,
-                    column,
-                });
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let len = count_while(&bytes[at..], |b| b.is_ascii_alphanumeric() || b == b'_');
+                (Tok::Ident(&source[at..at + len]), len)
             }
-            other => {
-                return Err(err_at(
-                    line,
-                    column,
-                    format!("unexpected character '{other}'"),
-                ));
+            _ => {
+                let other = source[at..].chars().next().unwrap_or_default();
+                return self.fail(format!("unexpected character '{other}'"));
             }
+        };
+        self.index += len;
+        Some(Token { tok, at })
+    }
+}
+
+/// Length of the longest prefix of `bytes` whose bytes all satisfy `accept`.
+fn count_while(bytes: &[u8], accept: impl Fn(u8) -> bool) -> usize {
+    bytes
+        .iter()
+        .position(|&byte| !accept(byte))
+        .unwrap_or(bytes.len())
+}
+
+// ---------------------------------------------------------------------------
+// Short operand lists
+// ---------------------------------------------------------------------------
+
+/// A short list kept inline: builtin gates take at most three qubits and one
+/// angle, so importing them never touches the heap. Longer lists (user
+/// gates with wider signatures, deeply nested angle expressions) spill to a
+/// `Vec`.
+#[derive(Debug, Clone)]
+enum Small<T, const N: usize> {
+    Inline { items: [T; N], len: usize },
+    Heap(Vec<T>),
+}
+
+/// Qubit operands of one gate application.
+type Qubits = Small<usize, 3>;
+/// Angle values of one gate application, also the evaluation stack that
+/// computes them.
+type Angles = Small<f64, 4>;
+
+impl<T: Copy + Default, const N: usize> Small<T, N> {
+    fn new() -> Self {
+        Self::Inline {
+            items: [T::default(); N],
+            len: 0,
         }
     }
-    Ok((tokens, (scanner.line, scanner.column)))
+
+    fn push(&mut self, item: T) {
+        match self {
+            Self::Inline { items, len } if *len < N => {
+                items[*len] = item;
+                *len += 1;
+            }
+            Self::Inline { items, .. } => {
+                let mut heap = items.to_vec();
+                heap.push(item);
+                *self = Self::Heap(heap);
+            }
+            Self::Heap(heap) => heap.push(item),
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        match self {
+            Self::Inline { items, len } => {
+                *len = len.checked_sub(1)?;
+                Some(items[*len])
+            }
+            Self::Heap(heap) => heap.pop(),
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Self::Inline { items, len } => &items[..*len],
+            Self::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> FromIterator<T> for Small<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut list = Self::new();
+        for item in iter {
+            list.push(item);
+        }
+        list
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Angle expressions
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum AngleExpr {
+/// One step of a compiled angle-expression list, in postfix order. Gate
+/// applications evaluate their list as soon as it is parsed; gate bodies
+/// keep it and evaluate it on every call with the call's parameter values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AngleOp {
     Number(f64),
     Pi,
-    Param(String),
-    Neg(Box<AngleExpr>),
-    Binary(char, Box<AngleExpr>, Box<AngleExpr>),
+    /// The formal gate parameter at this position.
+    Param(usize),
+    Neg,
+    Binary(char),
+    /// Ends one expression of the list; its value must be finite.
+    End,
 }
 
-impl AngleExpr {
-    /// Evaluates the expression; `params` binds formal gate parameters.
-    /// Depth is bounded by [`MAX_ANGLE_DEPTH`], so recursion is safe.
-    fn eval(&self, params: &HashMap<String, f64>) -> Result<f64, String> {
-        match self {
-            AngleExpr::Number(value) => Ok(*value),
-            AngleExpr::Pi => Ok(std::f64::consts::PI),
-            AngleExpr::Param(name) => params
-                .get(name)
-                .copied()
-                .ok_or_else(|| format!("unknown parameter '{name}'")),
-            AngleExpr::Neg(inner) => Ok(-inner.eval(params)?),
-            AngleExpr::Binary(op, lhs, rhs) => {
-                let (a, b) = (lhs.eval(params)?, rhs.eval(params)?);
+/// Evaluates a compiled angle list to one finite value per expression;
+/// `env` binds the formal gate parameters by position. Fails with the
+/// message of the first expression that divides by zero or is not finite.
+fn eval_angles(code: &[AngleOp], env: &[f64]) -> Result<Angles, &'static str> {
+    // Each expression leaves exactly its own value on the stack, so after
+    // the last `End` the stack holds the list's values in order.
+    let mut stack = Angles::new();
+    let pop = |stack: &mut Angles| stack.pop().expect("compiled angle code is well-formed");
+    for &op in code {
+        let value = match op {
+            AngleOp::Number(value) => value,
+            AngleOp::Pi => std::f64::consts::PI,
+            AngleOp::Param(index) => env[index],
+            AngleOp::Neg => -pop(&mut stack),
+            AngleOp::Binary(op) => {
+                let b = pop(&mut stack);
+                let a = pop(&mut stack);
                 match op {
-                    '+' => Ok(a + b),
-                    '-' => Ok(a - b),
-                    '*' => Ok(a * b),
-                    '/' => {
-                        if b == 0.0 {
-                            Err("division by zero in angle expression".to_owned())
-                        } else {
-                            Ok(a / b)
-                        }
-                    }
-                    other => Err(format!("unsupported operator '{other}'")),
+                    '+' => a + b,
+                    '-' => a - b,
+                    '*' => a * b,
+                    _ if b == 0.0 => return Err("division by zero in angle expression"),
+                    _ => a / b,
                 }
             }
-        }
+            AngleOp::End => {
+                let value = pop(&mut stack);
+                if !value.is_finite() {
+                    return Err("angle expression does not evaluate to a finite number");
+                }
+                value
+            }
+        };
+        stack.push(value);
     }
+    Ok(stack)
 }
 
 // ---------------------------------------------------------------------------
@@ -407,19 +469,20 @@ struct RegInfo {
 }
 
 #[derive(Debug)]
-struct BodyStmt {
-    name: String,
-    line: usize,
-    column: usize,
-    angles: Vec<AngleExpr>,
-    args: Vec<String>,
+struct BodyStmt<'a> {
+    name: &'a str,
+    at: usize,
+    /// Compiled angle list, over the definition's parameters.
+    angles: Vec<AngleOp>,
+    /// Positions of the statement's qubits in the definition's arguments.
+    args: Vec<usize>,
 }
 
 #[derive(Debug)]
-struct GateDef {
-    params: Vec<String>,
-    args: Vec<String>,
-    body: Vec<BodyStmt>,
+struct GateDef<'a> {
+    num_params: usize,
+    num_args: usize,
+    body: Vec<BodyStmt<'a>>,
 }
 
 /// A resolved gate argument: a single qubit or a whole register.
@@ -429,15 +492,26 @@ enum Arg {
     Whole(RegInfo),
 }
 
-struct Importer {
-    tokens: Vec<Token>,
-    position: usize,
-    end: (usize, usize),
-    qregs: HashMap<String, RegInfo>,
-    cregs: HashMap<String, usize>,
-    defs: HashMap<String, Rc<GateDef>>,
+impl Default for Arg {
+    fn default() -> Self {
+        Arg::Single(0)
+    }
+}
+
+struct Importer<'a> {
+    lexer: Lexer<'a>,
+    /// The lookahead token; `None` at the end of input.
+    current: Option<Token<'a>>,
+    qregs: BTreeMap<&'a str, RegInfo>,
+    cregs: BTreeMap<&'a str, usize>,
+    defs: BTreeMap<&'a str, Rc<GateDef<'a>>>,
     num_qubits: usize,
-    ops: Vec<(QuantumGate, usize, usize)>,
+    gates: Vec<QuantumGate>,
+    /// The first gate naming a qubit twice, reported only when the whole
+    /// program parses.
+    duplicate: Option<QuantumError>,
+    /// The angle list being parsed, reused from statement to statement.
+    code: Vec<AngleOp>,
 }
 
 const UNSUPPORTED_GATES: &[&str] = &[
@@ -472,138 +546,141 @@ fn is_builtin_gate(name: &str) -> bool {
     )
 }
 
-impl Importer {
-    fn new(tokens: Vec<Token>, end: (usize, usize)) -> Self {
-        Self {
-            tokens,
-            position: 0,
-            end,
-            qregs: HashMap::new(),
-            cregs: HashMap::new(),
-            defs: HashMap::new(),
+impl<'a> Importer<'a> {
+    fn new(source: &'a str) -> Self {
+        let mut importer = Self {
+            lexer: Lexer::new(source),
+            current: None,
+            qregs: BTreeMap::new(),
+            cregs: BTreeMap::new(),
+            defs: BTreeMap::new(),
             num_qubits: 0,
-            ops: Vec::new(),
+            gates: Vec::new(),
+            duplicate: None,
+            code: Vec::new(),
+        };
+        importer.bump();
+        importer
+    }
+
+    /// Tokenizes the rest of the source, returning the first lexical error
+    /// the source holds.
+    fn finish_lexing(mut self) -> Option<QuantumError> {
+        while self.current.is_some() {
+            self.bump();
         }
+        self.lexer.error
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.position)
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.current.as_ref()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let token = self.tokens.get(self.position).cloned();
-        if token.is_some() {
-            self.position += 1;
-        }
-        token
+    /// Consumes the lookahead token.
+    fn bump(&mut self) {
+        self.current = self.lexer.next_token();
     }
 
-    /// Position of the next token (or end of input) for diagnostics.
-    fn here(&self) -> (usize, usize) {
+    fn peek_is(&self, symbol: char) -> bool {
         self.peek()
-            .map_or(self.end, |token| (token.line, token.column))
+            .is_some_and(|token| token.tok == Tok::Sym(symbol))
+    }
+
+    /// Consumes the next token if it is `symbol`.
+    fn eat(&mut self, symbol: char) -> bool {
+        let found = self.peek_is(symbol);
+        if found {
+            self.bump();
+        }
+        found
+    }
+
+    /// Byte offset of the next token, or of the end of input.
+    fn here(&self) -> usize {
+        self.peek()
+            .map_or(self.lexer.source.len(), |token| token.at)
+    }
+
+    fn error_at(&self, at: usize, message: impl Into<String>) -> QuantumError {
+        error_at(self.lexer.source, at, message)
     }
 
     fn error_here(&self, message: impl Into<String>) -> QuantumError {
-        let (line, column) = self.here();
-        err_at(line, column, message)
+        self.error_at(self.here(), message)
+    }
+
+    /// The error for a missing `expected` at the next token or end of input.
+    fn expected(&self, expected: &str) -> QuantumError {
+        let found = self
+            .peek()
+            .map_or("end of input".to_owned(), |token| token.tok.describe());
+        self.error_here(format!("expected {expected}, found {found}"))
     }
 
     fn expect_sym(&mut self, symbol: char) -> Result<(), QuantumError> {
-        match self.peek() {
-            Some(token) if token.tok == Tok::Sym(symbol) => {
-                self.next();
-                Ok(())
-            }
-            Some(token) => Err(err_at(
-                token.line,
-                token.column,
-                format!("expected '{symbol}', found {}", token.tok.describe()),
-            )),
-            None => Err(self.error_here(format!("expected '{symbol}', found end of input"))),
+        if self.eat(symbol) {
+            Ok(())
+        } else {
+            Err(self.expected(&format!("'{symbol}'")))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, usize, usize), QuantumError> {
+    fn expect_ident(&mut self) -> Result<(&'a str, usize), QuantumError> {
         match self.peek() {
-            Some(token) => {
-                if let Tok::Ident(name) = &token.tok {
-                    let out = (name.clone(), token.line, token.column);
-                    self.next();
-                    Ok(out)
-                } else {
-                    Err(err_at(
-                        token.line,
-                        token.column,
-                        format!("expected an identifier, found {}", token.tok.describe()),
-                    ))
+            Some(&Token {
+                tok: Tok::Ident(name),
+                at,
+            }) => {
+                self.bump();
+                Ok((name, at))
+            }
+            _ => Err(self.expected("an identifier")),
+        }
+    }
+
+    fn expect_integer(&mut self) -> Result<(usize, usize), QuantumError> {
+        match self.peek() {
+            Some(&Token {
+                tok: Tok::Number(text),
+                at,
+            }) => {
+                if !text.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(
+                        self.error_at(at, format!("expected an integer, found number '{text}'"))
+                    );
                 }
+                let value: usize = text
+                    .parse()
+                    .map_err(|_| self.error_at(at, format!("integer '{text}' is too large")))?;
+                self.bump();
+                Ok((value, at))
             }
-            None => Err(self.error_here("expected an identifier, found end of input")),
+            _ => Err(self.expected("an integer")),
         }
     }
 
-    fn expect_integer(&mut self) -> Result<(usize, usize, usize), QuantumError> {
-        match self.peek() {
-            Some(token) => {
-                let (line, column) = (token.line, token.column);
-                if let Tok::Number(text) = &token.tok {
-                    if text.chars().all(|c| c.is_ascii_digit()) && !text.is_empty() {
-                        let value: usize = text.parse().map_err(|_| {
-                            err_at(line, column, format!("integer '{text}' is too large"))
-                        })?;
-                        self.next();
-                        return Ok((value, line, column));
-                    }
-                    Err(err_at(
-                        line,
-                        column,
-                        format!("expected an integer, found number '{text}'"),
-                    ))
-                } else {
-                    Err(err_at(
-                        line,
-                        column,
-                        format!("expected an integer, found {}", token.tok.describe()),
-                    ))
-                }
-            }
-            None => Err(self.error_here("expected an integer, found end of input")),
-        }
-    }
-
-    fn run(mut self) -> Result<QuantumCircuit, QuantumError> {
+    fn run(&mut self) -> Result<QuantumCircuit, QuantumError> {
         // Optional `OPENQASM 2.0;` header (only valid as the first statement).
-        if let Some(token) = self.peek() {
-            if token.tok == Tok::Ident("OPENQASM".to_owned()) {
-                self.next();
-                let version = match self.next() {
-                    Some(Token {
-                        tok: Tok::Number(text),
-                        line,
-                        column,
-                    }) => (text, line, column),
-                    Some(token) => {
-                        return Err(err_at(
-                            token.line,
-                            token.column,
-                            format!("expected a version number, found {}", token.tok.describe()),
-                        ));
-                    }
-                    None => {
-                        return Err(self.error_here("expected a version number, found end of input"))
-                    }
-                };
-                let (text, line, column) = version;
-                if text != "2" && text != "2.0" {
-                    return Err(err_at(
-                        line,
-                        column,
-                        format!("unsupported OpenQASM version '{text}' (only 2.0 is supported)"),
-                    ));
-                }
-                self.expect_sym(';')?;
+        if self
+            .peek()
+            .is_some_and(|token| token.tok == Tok::Ident("OPENQASM"))
+        {
+            self.bump();
+            let Some(&Token {
+                tok: Tok::Number(text),
+                at,
+            }) = self.peek()
+            else {
+                return Err(self.expected("a version number"));
+            };
+            if text != "2" && text != "2.0" {
+                return Err(self.error_at(
+                    at,
+                    format!("unsupported OpenQASM version '{text}' (only 2.0 is supported)"),
+                ));
             }
+            self.bump();
+            self.expect_sym(';')?;
         }
         while self.peek().is_some() {
             self.parse_statement()?;
@@ -611,57 +688,28 @@ impl Importer {
         if self.num_qubits == 0 {
             return Err(err_at(0, 0, "missing qreg declaration"));
         }
-        let mut circuit = QuantumCircuit::new(self.num_qubits);
-        for (gate, line, column) in self.ops {
-            circuit
-                .push(gate)
-                .map_err(|err| err_at(line, column, err.to_string()))?;
+        if let Some(error) = self.duplicate.take() {
+            return Err(error);
         }
-        Ok(circuit)
+        QuantumCircuit::from_gates(self.num_qubits, std::mem::take(&mut self.gates))
     }
 
     fn parse_statement(&mut self) -> Result<(), QuantumError> {
-        let (name, line, column) = match self.peek() {
-            Some(token) => {
-                if let Tok::Ident(name) = &token.tok {
-                    (name.clone(), token.line, token.column)
-                } else {
-                    return Err(err_at(
-                        token.line,
-                        token.column,
-                        format!("expected a statement, found {}", token.tok.describe()),
-                    ));
-                }
-            }
+        let (name, at) = match self.peek() {
             None => return Ok(()),
+            Some(&Token {
+                tok: Tok::Ident(name),
+                at,
+            }) => (name, at),
+            Some(_) => return Err(self.expected("a statement")),
         };
-        match name.as_str() {
-            "OPENQASM" => Err(err_at(
-                line,
-                column,
-                "OPENQASM header must be the first statement",
-            )),
+        match name {
+            "OPENQASM" => Err(self.error_at(at, "OPENQASM header must be the first statement")),
             "include" => {
-                self.next();
-                match self.next() {
-                    Some(Token {
-                        tok: Tok::Str(_), ..
-                    }) => {}
-                    Some(token) => {
-                        return Err(err_at(
-                            token.line,
-                            token.column,
-                            format!(
-                                "expected a quoted file name, found {}",
-                                token.tok.describe()
-                            ),
-                        ));
-                    }
-                    None => {
-                        return Err(
-                            self.error_here("expected a quoted file name, found end of input")
-                        )
-                    }
+                self.bump();
+                match self.peek() {
+                    Some(Token { tok: Tok::Str, .. }) => self.bump(),
+                    _ => return Err(self.expected("a quoted file name")),
                 }
                 self.expect_sym(';')
             }
@@ -670,29 +718,23 @@ impl Importer {
             "gate" => self.parse_gate_def(),
             "measure" => self.parse_measure(),
             "barrier" => self.parse_barrier(),
-            "opaque" => Err(err_at(
-                line,
-                column,
-                "opaque gate declarations are not supported",
-            )),
-            "reset" => Err(err_at(line, column, "reset statements are not supported")),
-            "if" => Err(err_at(line, column, "if statements are not supported")),
+            "opaque" => Err(self.error_at(at, "opaque gate declarations are not supported")),
+            "reset" => Err(self.error_at(at, "reset statements are not supported")),
+            "if" => Err(self.error_at(at, "if statements are not supported")),
             _ => self.parse_application(),
         }
     }
 
-    fn check_fresh_name(&self, name: &str, line: usize, column: usize) -> Result<(), QuantumError> {
+    fn check_fresh_name(&self, name: &str, at: usize) -> Result<(), QuantumError> {
         if self.qregs.contains_key(name) || self.cregs.contains_key(name) {
-            return Err(err_at(
-                line,
-                column,
+            return Err(self.error_at(
+                at,
                 format!("identifier '{name}' is already declared as a register"),
             ));
         }
         if self.defs.contains_key(name) {
-            return Err(err_at(
-                line,
-                column,
+            return Err(self.error_at(
+                at,
                 format!("identifier '{name}' is already declared as a gate"),
             ));
         }
@@ -700,15 +742,14 @@ impl Importer {
     }
 
     fn parse_register_decl(&mut self, quantum: bool) -> Result<(), QuantumError> {
-        self.next(); // the qreg/creg keyword
-        let (name, name_line, name_column) = self.expect_ident()?;
-        self.check_fresh_name(&name, name_line, name_column)?;
+        self.bump(); // the qreg/creg keyword
+        let (name, name_at) = self.expect_ident()?;
+        self.check_fresh_name(name, name_at)?;
         self.expect_sym('[')?;
-        let (size, size_line, size_column) = self.expect_integer()?;
+        let (size, size_at) = self.expect_integer()?;
         if size == 0 {
-            return Err(err_at(
-                size_line,
-                size_column,
+            return Err(self.error_at(
+                size_at,
                 format!("register '{name}' must have at least one bit"),
             ));
         }
@@ -716,9 +757,8 @@ impl Importer {
         self.expect_sym(';')?;
         if quantum {
             if size > MAX_DECLARED_QUBITS || self.num_qubits + size > MAX_DECLARED_QUBITS {
-                return Err(err_at(
-                    size_line,
-                    size_column,
+                return Err(self.error_at(
+                    size_at,
                     format!("program declares more than {MAX_DECLARED_QUBITS} qubits"),
                 ));
             }
@@ -736,169 +776,116 @@ impl Importer {
 
     // -- angle expressions --------------------------------------------------
 
-    fn parse_angle_list(
-        &mut self,
-        params: Option<&[String]>,
-    ) -> Result<Vec<AngleExpr>, QuantumError> {
-        // Caller has seen '('.
+    /// Parses a parenthesized angle list over the formal `params` and
+    /// compiles it into `self.code`, one `End`-terminated expression per
+    /// entry.
+    fn parse_angle_list(&mut self, params: &[&str]) -> Result<(), QuantumError> {
+        self.code.clear();
         self.expect_sym('(')?;
-        let mut exprs = Vec::new();
-        if self.peek().map(|t| &t.tok) != Some(&Tok::Sym(')')) {
+        if !self.peek_is(')') {
             loop {
-                exprs.push(self.parse_angle_sum(params, 0)?);
-                if self.peek().map(|t| &t.tok) == Some(&Tok::Sym(',')) {
-                    self.next();
-                } else {
+                self.parse_angle_sum(params, 0)?;
+                self.code.push(AngleOp::End);
+                if !self.eat(',') {
                     break;
                 }
             }
         }
-        self.expect_sym(')')?;
-        Ok(exprs)
+        self.expect_sym(')')
     }
 
-    fn parse_angle_sum(
-        &mut self,
-        params: Option<&[String]>,
-        depth: usize,
-    ) -> Result<AngleExpr, QuantumError> {
-        let mut lhs = self.parse_angle_product(params, depth)?;
-        while let Some(&Tok::Sym(op @ ('+' | '-'))) = self.peek().map(|t| &t.tok) {
-            self.next();
-            let rhs = self.parse_angle_product(params, depth)?;
-            lhs = AngleExpr::Binary(op, Box::new(lhs), Box::new(rhs));
+    fn parse_angle_sum(&mut self, params: &[&str], depth: usize) -> Result<(), QuantumError> {
+        self.parse_angle_product(params, depth)?;
+        while let Some(op @ ('+' | '-')) = self.peek_sym() {
+            self.bump();
+            self.parse_angle_product(params, depth)?;
+            self.code.push(AngleOp::Binary(op));
         }
-        Ok(lhs)
+        Ok(())
     }
 
-    fn parse_angle_product(
-        &mut self,
-        params: Option<&[String]>,
-        depth: usize,
-    ) -> Result<AngleExpr, QuantumError> {
-        let mut lhs = self.parse_angle_factor(params, depth)?;
-        while let Some(&Tok::Sym(op @ ('*' | '/'))) = self.peek().map(|t| &t.tok) {
-            self.next();
-            let rhs = self.parse_angle_factor(params, depth)?;
-            lhs = AngleExpr::Binary(op, Box::new(lhs), Box::new(rhs));
+    fn parse_angle_product(&mut self, params: &[&str], depth: usize) -> Result<(), QuantumError> {
+        self.parse_angle_factor(params, depth)?;
+        while let Some(op @ ('*' | '/')) = self.peek_sym() {
+            self.bump();
+            self.parse_angle_factor(params, depth)?;
+            self.code.push(AngleOp::Binary(op));
         }
-        Ok(lhs)
+        Ok(())
     }
 
-    fn parse_angle_factor(
-        &mut self,
-        params: Option<&[String]>,
-        depth: usize,
-    ) -> Result<AngleExpr, QuantumError> {
+    fn peek_sym(&self) -> Option<char> {
+        match self.peek()?.tok {
+            Tok::Sym(symbol) => Some(symbol),
+            _ => None,
+        }
+    }
+
+    fn parse_angle_factor(&mut self, params: &[&str], depth: usize) -> Result<(), QuantumError> {
         if depth >= MAX_ANGLE_DEPTH {
             return Err(self.error_here(format!(
                 "angle expression nests deeper than {MAX_ANGLE_DEPTH} levels"
             )));
         }
-        match self.next() {
-            Some(Token {
-                tok: Tok::Sym('-'), ..
-            }) => Ok(AngleExpr::Neg(Box::new(
-                self.parse_angle_factor(params, depth + 1)?,
-            ))),
-            Some(Token {
-                tok: Tok::Sym('('), ..
-            }) => {
-                let inner = self.parse_angle_sum(params, depth + 1)?;
-                self.expect_sym(')')?;
-                Ok(inner)
+        let Some(&Token { tok, at }) = self.peek() else {
+            return Err(self.error_here("expected an angle expression, found end of input"));
+        };
+        self.bump();
+        let op = match tok {
+            Tok::Sym('-') => {
+                self.parse_angle_factor(params, depth + 1)?;
+                AngleOp::Neg
             }
-            Some(Token {
-                tok: Tok::Number(text),
-                line,
-                column,
-            }) => text
-                .parse::<f64>()
-                .map(AngleExpr::Number)
-                .map_err(|_| err_at(line, column, format!("malformed number '{text}'"))),
-            Some(Token {
-                tok: Tok::Ident(name),
-                line,
-                column,
-            }) => {
-                if name == "pi" || name == "PI" {
-                    Ok(AngleExpr::Pi)
-                } else if params.is_some_and(|list| list.contains(&name)) {
-                    Ok(AngleExpr::Param(name))
-                } else {
-                    Err(err_at(
-                        line,
-                        column,
+            Tok::Sym('(') => {
+                self.parse_angle_sum(params, depth + 1)?;
+                return self.expect_sym(')');
+            }
+            Tok::Number(text) => AngleOp::Number(
+                text.parse()
+                    .map_err(|_| self.error_at(at, format!("malformed number '{text}'")))?,
+            ),
+            Tok::Ident("pi" | "PI") => AngleOp::Pi,
+            Tok::Ident(name) => match params.iter().position(|param| *param == name) {
+                Some(index) => AngleOp::Param(index),
+                None => {
+                    return Err(self.error_at(
+                        at,
                         format!("unknown identifier '{name}' in angle expression"),
                     ))
                 }
+            },
+            other => {
+                return Err(self.error_at(
+                    at,
+                    format!("expected an angle expression, found {}", other.describe()),
+                ))
             }
-            Some(token) => Err(err_at(
-                token.line,
-                token.column,
-                format!(
-                    "expected an angle expression, found {}",
-                    token.tok.describe()
-                ),
-            )),
-            None => Err(self.error_here("expected an angle expression, found end of input")),
-        }
-    }
-
-    /// Evaluates already-parsed angle expressions to finite values.
-    fn eval_angles(
-        exprs: &[AngleExpr],
-        env: &HashMap<String, f64>,
-        line: usize,
-        column: usize,
-    ) -> Result<Vec<f64>, QuantumError> {
-        exprs
-            .iter()
-            .map(|expr| {
-                let value = expr.eval(env).map_err(|msg| err_at(line, column, msg))?;
-                if value.is_finite() {
-                    Ok(value)
-                } else {
-                    Err(err_at(
-                        line,
-                        column,
-                        "angle expression does not evaluate to a finite number",
-                    ))
-                }
-            })
-            .collect()
+        };
+        self.code.push(op);
+        Ok(())
     }
 
     // -- gate definitions ---------------------------------------------------
 
     fn parse_gate_def(&mut self) -> Result<(), QuantumError> {
-        self.next(); // `gate`
-        let (name, name_line, name_column) = self.expect_ident()?;
-        if is_builtin_gate(&name) || UNSUPPORTED_GATES.contains(&name.as_str()) {
-            return Err(err_at(
-                name_line,
-                name_column,
-                format!("cannot redefine built-in gate '{name}'"),
-            ));
+        self.bump(); // `gate`
+        let (name, name_at) = self.expect_ident()?;
+        if is_builtin_gate(name) || UNSUPPORTED_GATES.contains(&name) {
+            return Err(self.error_at(name_at, format!("cannot redefine built-in gate '{name}'")));
         }
-        self.check_fresh_name(&name, name_line, name_column)?;
+        self.check_fresh_name(name, name_at)?;
         let mut params = Vec::new();
-        if self.peek().map(|t| &t.tok) == Some(&Tok::Sym('(')) {
-            self.next();
-            if self.peek().map(|t| &t.tok) != Some(&Tok::Sym(')')) {
+        if self.eat('(') {
+            if !self.peek_is(')') {
                 loop {
-                    let (param, line, column) = self.expect_ident()?;
+                    let (param, at) = self.expect_ident()?;
                     if params.contains(&param) {
-                        return Err(err_at(
-                            line,
-                            column,
-                            format!("duplicate parameter name '{param}'"),
-                        ));
+                        return Err(
+                            self.error_at(at, format!("duplicate parameter name '{param}'"))
+                        );
                     }
                     params.push(param);
-                    if self.peek().map(|t| &t.tok) == Some(&Tok::Sym(',')) {
-                        self.next();
-                    } else {
+                    if !self.eat(',') {
                         break;
                     }
                 }
@@ -907,118 +894,91 @@ impl Importer {
         }
         let mut args = Vec::new();
         loop {
-            let (arg, line, column) = self.expect_ident()?;
+            let (arg, at) = self.expect_ident()?;
             if args.contains(&arg) || params.contains(&arg) {
-                return Err(err_at(
-                    line,
-                    column,
-                    format!("duplicate argument name '{arg}'"),
-                ));
+                return Err(self.error_at(at, format!("duplicate argument name '{arg}'")));
             }
             args.push(arg);
-            if self.peek().map(|t| &t.tok) == Some(&Tok::Sym(',')) {
-                self.next();
-            } else {
+            if !self.eat(',') {
                 break;
             }
         }
         self.expect_sym('{')?;
         let mut body = Vec::new();
-        while self.peek().map(|t| &t.tok) != Some(&Tok::Sym('}')) {
-            let (stmt_name, stmt_line, stmt_column) = self.expect_ident()?;
-            if stmt_name == "barrier" {
-                // Validate arguments, emit nothing.
-                loop {
-                    let (arg, line, column) = self.expect_ident()?;
-                    if !args.contains(&arg) {
-                        return Err(err_at(
-                            line,
-                            column,
-                            format!("unknown qubit argument '{arg}' in gate body"),
-                        ));
-                    }
-                    if self.peek().map(|t| &t.tok) == Some(&Tok::Sym(',')) {
-                        self.next();
-                    } else {
-                        break;
-                    }
-                }
-                self.expect_sym(';')?;
-                continue;
-            }
+        while !self.peek_is('}') {
+            let (stmt_name, stmt_at) = self.expect_ident()?;
+            let barrier = stmt_name == "barrier";
             // Body gates must already be resolvable, which statically rules
             // out recursive (and mutually recursive) definitions.
-            if !is_builtin_gate(&stmt_name) && !self.defs.contains_key(&stmt_name) {
-                let message = if UNSUPPORTED_GATES.contains(&stmt_name.as_str()) {
+            if !barrier && !is_builtin_gate(stmt_name) && !self.defs.contains_key(stmt_name) {
+                let message = if UNSUPPORTED_GATES.contains(&stmt_name) {
                     format!("gate '{stmt_name}' is outside the supported OpenQASM subset")
                 } else if stmt_name == name {
                     format!("gate '{stmt_name}' cannot call itself")
                 } else {
                     format!("unknown gate '{stmt_name}' in gate body")
                 };
-                return Err(err_at(stmt_line, stmt_column, message));
+                return Err(self.error_at(stmt_at, message));
             }
-            let angles = if self.peek().map(|t| &t.tok) == Some(&Tok::Sym('(')) {
-                self.parse_angle_list(Some(&params))?
+            let angles = if !barrier && self.peek_is('(') {
+                self.parse_angle_list(&params)?;
+                self.code.clone()
             } else {
                 Vec::new()
             };
             let mut stmt_args = Vec::new();
             loop {
-                let (arg, line, column) = self.expect_ident()?;
-                if self.peek().map(|t| &t.tok) == Some(&Tok::Sym('[')) {
-                    return Err(err_at(
-                        line,
-                        column,
-                        "indexed qubits are not allowed inside gate bodies",
-                    ));
+                let (arg, at) = self.expect_ident()?;
+                if !barrier && self.peek_is('[') {
+                    return Err(
+                        self.error_at(at, "indexed qubits are not allowed inside gate bodies")
+                    );
                 }
-                if !args.contains(&arg) {
-                    return Err(err_at(
-                        line,
-                        column,
-                        format!("unknown qubit argument '{arg}' in gate body"),
-                    ));
-                }
-                stmt_args.push(arg);
-                if self.peek().map(|t| &t.tok) == Some(&Tok::Sym(',')) {
-                    self.next();
-                } else {
+                let Some(index) = args.iter().position(|known| *known == arg) else {
+                    return Err(
+                        self.error_at(at, format!("unknown qubit argument '{arg}' in gate body"))
+                    );
+                };
+                stmt_args.push(index);
+                if !self.eat(',') {
                     break;
                 }
             }
             self.expect_sym(';')?;
-            body.push(BodyStmt {
-                name: stmt_name,
-                line: stmt_line,
-                column: stmt_column,
-                angles,
-                args: stmt_args,
-            });
+            // A barrier is validated, then emits nothing.
+            if !barrier {
+                body.push(BodyStmt {
+                    name: stmt_name,
+                    at: stmt_at,
+                    angles,
+                    args: stmt_args,
+                });
+            }
         }
         self.expect_sym('}')?;
-        self.defs
-            .insert(name, Rc::new(GateDef { params, args, body }));
+        let def = GateDef {
+            num_params: params.len(),
+            num_args: args.len(),
+            body,
+        };
+        self.defs.insert(name, Rc::new(def));
         Ok(())
     }
 
     // -- measure / barrier --------------------------------------------------
 
-    /// Parses `name` or `name[index]` against a register table, returning
-    /// `(size-or-None-for-indexed, ...)` shaped as `Arg` for qregs.
+    /// Parses `name` or `name[index]` against the quantum registers.
     fn parse_qubit_arg(&mut self) -> Result<Arg, QuantumError> {
-        let (name, line, column) = self.expect_ident()?;
+        let (name, at) = self.expect_ident()?;
         let info = *self
             .qregs
-            .get(&name)
-            .ok_or_else(|| err_at(line, column, format!("unknown register '{name}'")))?;
-        if self.peek().map(|t| &t.tok) == Some(&Tok::Sym('[')) {
-            self.next();
-            let (index, index_line, index_column) = self.expect_integer()?;
+            .get(name)
+            .ok_or_else(|| self.error_at(at, format!("unknown register '{name}'")))?;
+        if self.eat('[') {
+            let (index, index_at) = self.expect_integer()?;
             if index >= info.size {
-                return Err(err_at(
-                    index_line,
-                    index_column,
+                return Err(self.error_at(
+                    index_at,
                     format!(
                         "index {index} is out of range for register '{name}' of size {}",
                         info.size
@@ -1033,44 +993,33 @@ impl Importer {
     }
 
     fn parse_measure(&mut self) -> Result<(), QuantumError> {
-        self.next(); // `measure`
-        let (stmt_line, stmt_column) = self.here();
+        self.bump(); // `measure`
+        let stmt_at = self.here();
         let source = self.parse_qubit_arg()?;
-        match self.next() {
+        match self.peek() {
             Some(Token {
                 tok: Tok::Arrow, ..
-            }) => {}
-            Some(token) => {
-                return Err(err_at(
-                    token.line,
-                    token.column,
-                    format!("expected '->', found {}", token.tok.describe()),
-                ));
-            }
-            None => return Err(self.error_here("expected '->', found end of input")),
+            }) => self.bump(),
+            _ => return Err(self.expected("'->'")),
         }
-        let (name, line, column) = self.expect_ident()?;
+        let (name, at) = self.expect_ident()?;
         let creg_size = *self
             .cregs
-            .get(&name)
-            .ok_or_else(|| err_at(line, column, format!("unknown classical register '{name}'")))?;
-        let target_indexed = if self.peek().map(|t| &t.tok) == Some(&Tok::Sym('[')) {
-            self.next();
-            let (index, index_line, index_column) = self.expect_integer()?;
+            .get(name)
+            .ok_or_else(|| self.error_at(at, format!("unknown classical register '{name}'")))?;
+        let target_indexed = self.eat('[');
+        if target_indexed {
+            let (index, index_at) = self.expect_integer()?;
             if index >= creg_size {
-                return Err(err_at(
-                    index_line,
-                    index_column,
+                return Err(self.error_at(
+                    index_at,
                     format!(
                         "index {index} is out of range for register '{name}' of size {creg_size}"
                     ),
                 ));
             }
             self.expect_sym(']')?;
-            true
-        } else {
-            false
-        };
+        }
         self.expect_sym(';')?;
         match (source, target_indexed) {
             (Arg::Single(_), true) => Ok(()),
@@ -1078,9 +1027,8 @@ impl Importer {
                 if info.size == creg_size {
                     Ok(())
                 } else {
-                    Err(err_at(
-                        stmt_line,
-                        stmt_column,
+                    Err(self.error_at(
+                        stmt_at,
                         format!(
                             "measure register sizes do not match ({} vs {creg_size})",
                             info.size
@@ -1088,22 +1036,19 @@ impl Importer {
                     ))
                 }
             }
-            _ => Err(err_at(
-                stmt_line,
-                stmt_column,
+            _ => Err(self.error_at(
+                stmt_at,
                 "measure arguments must both be indexed or both be whole registers",
             )),
         }
     }
 
     fn parse_barrier(&mut self) -> Result<(), QuantumError> {
-        self.next(); // `barrier`
-        if self.peek().map(|t| &t.tok) != Some(&Tok::Sym(';')) {
+        self.bump(); // `barrier`
+        if !self.peek_is(';') {
             loop {
                 self.parse_qubit_arg()?;
-                if self.peek().map(|t| &t.tok) == Some(&Tok::Sym(',')) {
-                    self.next();
-                } else {
+                if !self.eat(',') {
                     break;
                 }
             }
@@ -1114,34 +1059,31 @@ impl Importer {
     // -- gate application ---------------------------------------------------
 
     fn parse_application(&mut self) -> Result<(), QuantumError> {
-        let (name, line, column) = self.expect_ident()?;
-        let angles = if self.peek().map(|t| &t.tok) == Some(&Tok::Sym('(')) {
-            let exprs = self.parse_angle_list(None)?;
-            Self::eval_angles(&exprs, &HashMap::new(), line, column)?
+        let (name, at) = self.expect_ident()?;
+        let angles = if self.peek_is('(') {
+            self.parse_angle_list(&[])?;
+            eval_angles(&self.code, &[]).map_err(|message| self.error_at(at, message))?
         } else {
-            Vec::new()
+            Angles::new()
         };
-        let mut args = Vec::new();
+        let mut args = Small::<Arg, 3>::new();
         loop {
             args.push(self.parse_qubit_arg()?);
-            if self.peek().map(|t| &t.tok) == Some(&Tok::Sym(',')) {
-                self.next();
-            } else {
+            if !self.eat(',') {
                 break;
             }
         }
         self.expect_sym(';')?;
         // Whole-register arguments broadcast: all must share one size.
         let mut broadcast: Option<usize> = None;
-        for arg in &args {
+        for arg in args.as_slice() {
             if let Arg::Whole(info) = arg {
                 match broadcast {
                     None => broadcast = Some(info.size),
                     Some(size) if size == info.size => {}
                     Some(size) => {
-                        return Err(err_at(
-                            line,
-                            column,
+                        return Err(self.error_at(
+                            at,
                             format!(
                                 "broadcast registers have mismatched sizes ({size} vs {})",
                                 info.size
@@ -1151,34 +1093,34 @@ impl Importer {
                 }
             }
         }
-        let repetitions = broadcast.unwrap_or(1);
-        for step in 0..repetitions {
-            let qubits: Vec<usize> = args
+        for step in 0..broadcast.unwrap_or(1) {
+            let qubits: Qubits = args
+                .as_slice()
                 .iter()
                 .map(|arg| match arg {
                     Arg::Single(qubit) => *qubit,
                     Arg::Whole(info) => info.offset + step,
                 })
                 .collect();
-            self.emit(&name, &angles, &qubits, line, column, 0)?;
+            self.emit(name, angles.as_slice(), qubits.as_slice(), at, 0)?;
         }
         Ok(())
     }
 
-    fn push_op(
-        &mut self,
-        gate: QuantumGate,
-        line: usize,
-        column: usize,
-    ) -> Result<(), QuantumError> {
-        if self.ops.len() >= MAX_PROGRAM_GATES {
-            return Err(err_at(
-                line,
-                column,
+    fn push_op(&mut self, gate: QuantumGate, at: usize) -> Result<(), QuantumError> {
+        if self.gates.len() >= MAX_PROGRAM_GATES {
+            return Err(self.error_at(
+                at,
                 format!("program expands to more than {MAX_PROGRAM_GATES} gates"),
             ));
         }
-        self.ops.push((gate, line, column));
+        if self.duplicate.is_none() {
+            if let Some(qubit) = gate.duplicate_qubit() {
+                let error = QuantumError::DuplicateQubit { qubit };
+                self.duplicate = Some(self.error_at(at, error.to_string()));
+            }
+        }
+        self.gates.push(gate);
         Ok(())
     }
 
@@ -1189,22 +1131,19 @@ impl Importer {
         name: &str,
         angles: &[f64],
         qubits: &[usize],
-        line: usize,
-        column: usize,
+        at: usize,
         depth: usize,
     ) -> Result<(), QuantumError> {
         if depth > MAX_GATE_DEPTH {
-            return Err(err_at(
-                line,
-                column,
+            return Err(self.error_at(
+                at,
                 format!("gate expansion nests deeper than {MAX_GATE_DEPTH} levels"),
             ));
         }
         let arity = |expected_angles: usize, expected_qubits: usize| -> Result<(), QuantumError> {
             if angles.len() != expected_angles {
-                return Err(err_at(
-                    line,
-                    column,
+                return Err(self.error_at(
+                    at,
                     format!(
                         "gate '{name}' expects {expected_angles} parameter(s), found {}",
                         angles.len()
@@ -1212,9 +1151,8 @@ impl Importer {
                 ));
             }
             if qubits.len() != expected_qubits {
-                return Err(err_at(
-                    line,
-                    column,
+                return Err(self.error_at(
+                    at,
                     format!(
                         "gate '{name}' expects {expected_qubits} qubit argument(s), found {}",
                         qubits.len()
@@ -1236,7 +1174,7 @@ impl Importer {
         };
         if let Some(build) = single {
             arity(0, 1)?;
-            return self.push_op(build(qubits[0]), line, column);
+            return self.push_op(build(qubits[0]), at);
         }
         match name {
             "id" => {
@@ -1252,8 +1190,7 @@ impl Importer {
                         qubit: qubits[0],
                         angle: angles[0],
                     },
-                    line,
-                    column,
+                    at,
                 )
             }
             "cx" | "CX" => {
@@ -1263,8 +1200,7 @@ impl Importer {
                         control: qubits[0],
                         target: qubits[1],
                     },
-                    line,
-                    column,
+                    at,
                 )
             }
             "cz" => {
@@ -1274,8 +1210,7 @@ impl Importer {
                         a: qubits[0],
                         b: qubits[1],
                     },
-                    line,
-                    column,
+                    at,
                 )
             }
             "swap" => {
@@ -1285,8 +1220,7 @@ impl Importer {
                         a: qubits[0],
                         b: qubits[1],
                     },
-                    line,
-                    column,
+                    at,
                 )
             }
             "ccx" => {
@@ -1297,54 +1231,50 @@ impl Importer {
                         control_b: qubits[1],
                         target: qubits[2],
                     },
-                    line,
-                    column,
+                    at,
                 )
             }
             // qelib1: gate cy a,b { sdg b; cx a,b; s b; } — exact.
             "cy" => {
                 arity(0, 2)?;
                 let (a, b) = (qubits[0], qubits[1]);
-                self.push_op(QuantumGate::Sdg(b), line, column)?;
+                self.push_op(QuantumGate::Sdg(b), at)?;
                 self.push_op(
                     QuantumGate::Cx {
                         control: a,
                         target: b,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
-                self.push_op(QuantumGate::S(b), line, column)
+                self.push_op(QuantumGate::S(b), at)
             }
             // qelib1's exact Clifford+T body for controlled-H.
             "ch" => {
                 arity(0, 2)?;
                 let (a, b) = (qubits[0], qubits[1]);
-                self.push_op(QuantumGate::H(b), line, column)?;
-                self.push_op(QuantumGate::Sdg(b), line, column)?;
+                self.push_op(QuantumGate::H(b), at)?;
+                self.push_op(QuantumGate::Sdg(b), at)?;
                 self.push_op(
                     QuantumGate::Cx {
                         control: a,
                         target: b,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
-                self.push_op(QuantumGate::H(b), line, column)?;
-                self.push_op(QuantumGate::T(b), line, column)?;
+                self.push_op(QuantumGate::H(b), at)?;
+                self.push_op(QuantumGate::T(b), at)?;
                 self.push_op(
                     QuantumGate::Cx {
                         control: a,
                         target: b,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
-                self.push_op(QuantumGate::T(b), line, column)?;
-                self.push_op(QuantumGate::H(b), line, column)?;
-                self.push_op(QuantumGate::S(b), line, column)?;
-                self.push_op(QuantumGate::X(b), line, column)?;
-                self.push_op(QuantumGate::S(a), line, column)
+                self.push_op(QuantumGate::T(b), at)?;
+                self.push_op(QuantumGate::H(b), at)?;
+                self.push_op(QuantumGate::S(b), at)?;
+                self.push_op(QuantumGate::X(b), at)?;
+                self.push_op(QuantumGate::S(a), at)
             }
             // qelib1: gate crz(λ) a,b { u1(λ/2) b; cx a,b; u1(-λ/2) b; cx a,b; }
             "crz" => {
@@ -1355,32 +1285,28 @@ impl Importer {
                         qubit: b,
                         angle: lambda / 2.0,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
                 self.push_op(
                     QuantumGate::Cx {
                         control: a,
                         target: b,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
                 self.push_op(
                     QuantumGate::Rz {
                         qubit: b,
                         angle: -lambda / 2.0,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
                 self.push_op(
                     QuantumGate::Cx {
                         control: a,
                         target: b,
                     },
-                    line,
-                    column,
+                    at,
                 )
             }
             // qelib1: gate cu1(λ) a,b { u1(λ/2) a; cx a,b; u1(-λ/2) b;
@@ -1393,100 +1319,60 @@ impl Importer {
                         qubit: a,
                         angle: lambda / 2.0,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
                 self.push_op(
                     QuantumGate::Cx {
                         control: a,
                         target: b,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
                 self.push_op(
                     QuantumGate::Rz {
                         qubit: b,
                         angle: -lambda / 2.0,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
                 self.push_op(
                     QuantumGate::Cx {
                         control: a,
                         target: b,
                     },
-                    line,
-                    column,
+                    at,
                 )?;
                 self.push_op(
                     QuantumGate::Rz {
                         qubit: b,
                         angle: lambda / 2.0,
                     },
-                    line,
-                    column,
+                    at,
                 )
             }
             _ => {
                 if let Some(def) = self.defs.get(name).cloned() {
-                    if angles.len() != def.params.len() {
-                        return Err(err_at(
-                            line,
-                            column,
-                            format!(
-                                "gate '{name}' expects {} parameter(s), found {}",
-                                def.params.len(),
-                                angles.len()
-                            ),
-                        ));
-                    }
-                    if qubits.len() != def.args.len() {
-                        return Err(err_at(
-                            line,
-                            column,
-                            format!(
-                                "gate '{name}' expects {} qubit argument(s), found {}",
-                                def.args.len(),
-                                qubits.len()
-                            ),
-                        ));
-                    }
-                    let env: HashMap<String, f64> = def
-                        .params
-                        .iter()
-                        .cloned()
-                        .zip(angles.iter().copied())
-                        .collect();
-                    let binding: HashMap<&str, usize> = def
-                        .args
-                        .iter()
-                        .map(String::as_str)
-                        .zip(qubits.iter().copied())
-                        .collect();
+                    arity(def.num_params, def.num_args)?;
                     for stmt in &def.body {
-                        let values = Self::eval_angles(&stmt.angles, &env, stmt.line, stmt.column)?;
-                        let resolved: Vec<usize> =
-                            stmt.args.iter().map(|arg| binding[arg.as_str()]).collect();
+                        let values = eval_angles(&stmt.angles, angles)
+                            .map_err(|message| self.error_at(stmt.at, message))?;
+                        let resolved: Qubits = stmt.args.iter().map(|&arg| qubits[arg]).collect();
                         self.emit(
-                            &stmt.name,
-                            &values,
-                            &resolved,
-                            stmt.line,
-                            stmt.column,
+                            stmt.name,
+                            values.as_slice(),
+                            resolved.as_slice(),
+                            stmt.at,
                             depth + 1,
                         )?;
                     }
                     Ok(())
                 } else if UNSUPPORTED_GATES.contains(&name) {
-                    Err(err_at(
-                        line,
-                        column,
+                    Err(self.error_at(
+                        at,
                         format!("gate '{name}' is outside the supported OpenQASM subset"),
                     ))
                 } else {
-                    Err(err_at(line, column, format!("unknown gate '{name}'")))
+                    Err(self.error_at(at, format!("unknown gate '{name}'")))
                 }
             }
         }
@@ -1583,6 +1469,403 @@ mod tests {
                 message: "unknown register 'r'".to_owned(),
             }
         );
+    }
+
+    /// Every diagnostic the importer can produce, pinned to its exact line,
+    /// column and message. Columns count characters, not bytes; `\r` is an
+    /// ordinary column; the end-of-input position is the one just past the
+    /// last character.
+    #[test]
+    fn every_error_site_reports_its_exact_position() {
+        let deep_parens = format!("qreg q[1];\nrz({}pi) q[0];", "(".repeat(200));
+        let deep_negs = format!("qreg q[1];\nrz({}", "-".repeat(MAX_ANGLE_DEPTH));
+        let mut deep_gates = String::from("gate g0 a { h a; }\n");
+        for level in 1..=MAX_GATE_DEPTH + 1 {
+            deep_gates.push_str(&format!("gate g{level} a {{ g{} a; }}\n", level - 1));
+        }
+        deep_gates.push_str(&format!("qreg q[1];\ng{} q[0];", MAX_GATE_DEPTH + 1));
+        let cases: &[(&str, usize, usize, &str)] = &[
+            // -- lexer --
+            (
+                "qreg q[1];\ninclude \"abc",
+                2,
+                9,
+                "unterminated string literal",
+            ),
+            ("include \"a\nb", 1, 9, "unterminated string literal"),
+            (
+                "qreg q[1]; // ü\nh q[0]; é",
+                2,
+                9,
+                "unexpected character 'é'",
+            ),
+            ("qreg q[1];\nh q[0] $", 2, 8, "unexpected character '$'"),
+            // A lexical error outranks an earlier parse error.
+            ("qreg q[0];\nh q[0]; $", 2, 9, "unexpected character '$'"),
+            // Non-ASCII text before the faulty token on the same line.
+            (
+                "qreg q[1];\ninclude \"äöü\"; h r[0];",
+                2,
+                18,
+                "unknown register 'r'",
+            ),
+            ("qreg q[1];\r\nh r[0];\r\n", 2, 3, "unknown register 'r'"),
+            // A string literal spanning a newline advances the line count.
+            (
+                "qreg q[1];\ninclude \"a\nbc\"; h r[0];",
+                3,
+                8,
+                "unknown register 'r'",
+            ),
+            // -- expected tokens --
+            ("qreg q[1) ;", 1, 9, "expected ']', found ')'"),
+            ("qreg q[1]", 1, 10, "expected ';', found end of input"),
+            ("qreg q[1]\r\n", 2, 1, "expected ';', found end of input"),
+            ("qreg q[1]\r", 1, 11, "expected ';', found end of input"),
+            ("qreg q[1] // π", 1, 15, "expected ';', found end of input"),
+            (
+                "qreg q[1];\nrz(pi q[0];",
+                2,
+                7,
+                "expected ')', found identifier 'q'",
+            ),
+            (
+                "qreg 3[1];",
+                1,
+                6,
+                "expected an identifier, found number '3'",
+            ),
+            (
+                "qreg \"q\"[1];",
+                1,
+                6,
+                "expected an identifier, found string literal",
+            ),
+            (
+                "qreg q[1];\nh -> q;",
+                2,
+                3,
+                "expected an identifier, found '->'",
+            ),
+            ("qreg", 1, 5, "expected an identifier, found end of input"),
+            (
+                "qreg q[99999999999999999999999];",
+                1,
+                8,
+                "integer '99999999999999999999999' is too large",
+            ),
+            (
+                "qreg q[1.5];",
+                1,
+                8,
+                "expected an integer, found number '1.5'",
+            ),
+            (
+                "qreg q[x];",
+                1,
+                8,
+                "expected an integer, found identifier 'x'",
+            ),
+            ("qreg q[", 1, 8, "expected an integer, found end of input"),
+            // -- header and statements --
+            (
+                "OPENQASM x;",
+                1,
+                10,
+                "expected a version number, found identifier 'x'",
+            ),
+            (
+                "OPENQASM",
+                1,
+                9,
+                "expected a version number, found end of input",
+            ),
+            (
+                "OPENQASM 3.0;",
+                1,
+                10,
+                "unsupported OpenQASM version '3.0' (only 2.0 is supported)",
+            ),
+            ("", 0, 0, "missing qreg declaration"),
+            ("OPENQASM 2.0;\n", 0, 0, "missing qreg declaration"),
+            ("qreg q[1];\n;", 2, 1, "expected a statement, found ';'"),
+            (
+                "qreg q[1];\nOPENQASM 2.0;",
+                2,
+                1,
+                "OPENQASM header must be the first statement",
+            ),
+            (
+                "include qelib1;",
+                1,
+                9,
+                "expected a quoted file name, found identifier 'qelib1'",
+            ),
+            (
+                "include",
+                1,
+                8,
+                "expected a quoted file name, found end of input",
+            ),
+            (
+                "opaque g a;",
+                1,
+                1,
+                "opaque gate declarations are not supported",
+            ),
+            (
+                "qreg q[1];\nreset q[0];",
+                2,
+                1,
+                "reset statements are not supported",
+            ),
+            ("if (c==1) x q[0];", 1, 1, "if statements are not supported"),
+            // -- registers and qubit arguments --
+            (
+                "qreg q[1];\ncreg q[1];",
+                2,
+                6,
+                "identifier 'q' is already declared as a register",
+            ),
+            (
+                "gate g a { h a; }\nqreg g[1];",
+                2,
+                6,
+                "identifier 'g' is already declared as a gate",
+            ),
+            (
+                "qreg q[0];",
+                1,
+                8,
+                "register 'q' must have at least one bit",
+            ),
+            (
+                "qreg q[1048577];",
+                1,
+                8,
+                "program declares more than 1048576 qubits",
+            ),
+            ("qreg q[2];\nh r[0];", 2, 3, "unknown register 'r'"),
+            (
+                "qreg q[2];\nh q[2];",
+                2,
+                5,
+                "index 2 is out of range for register 'q' of size 2",
+            ),
+            (
+                "qreg q[2];\ncx q[1],q[1];",
+                2,
+                1,
+                "qubit 1 is used more than once by the same gate",
+            ),
+            // A repeated qubit is reported only if the whole program parses.
+            (
+                "qreg q[2];\ncx q[1],q[1];\nfoo q[0];",
+                3,
+                1,
+                "unknown gate 'foo'",
+            ),
+            // -- angle expressions --
+            (
+                &deep_parens,
+                2,
+                132,
+                "angle expression nests deeper than 128 levels",
+            ),
+            (
+                &deep_negs,
+                2,
+                132,
+                "angle expression nests deeper than 128 levels",
+            ),
+            (
+                "qreg q[1];\nrz(1.2.3) q[0];",
+                2,
+                4,
+                "malformed number '1.2.3'",
+            ),
+            (
+                "qreg q[1];\nrz(tau) q[0];",
+                2,
+                4,
+                "unknown identifier 'tau' in angle expression",
+            ),
+            (
+                "qreg q[1];\nrz(;) q[0];",
+                2,
+                4,
+                "expected an angle expression, found ';'",
+            ),
+            (
+                "qreg q[1];\nrz(",
+                2,
+                4,
+                "expected an angle expression, found end of input",
+            ),
+            (
+                "qreg q[1];\nrz(pi/0) q[0];",
+                2,
+                1,
+                "division by zero in angle expression",
+            ),
+            (
+                "qreg q[1];\nrz(1e308*10) q[0];",
+                2,
+                1,
+                "angle expression does not evaluate to a finite number",
+            ),
+            (
+                "qreg q[1];\ngate g(a) b { rz(pi/a) b; }\ng(0) q[0];",
+                2,
+                15,
+                "division by zero in angle expression",
+            ),
+            // -- gate definitions --
+            (
+                "gate h a { x a; }",
+                1,
+                6,
+                "cannot redefine built-in gate 'h'",
+            ),
+            (
+                "gate rx a { x a; }",
+                1,
+                6,
+                "cannot redefine built-in gate 'rx'",
+            ),
+            ("gate g(a,a) b { }", 1, 10, "duplicate parameter name 'a'"),
+            ("gate g(a) a { }", 1, 11, "duplicate argument name 'a'"),
+            ("gate g b,b { }", 1, 10, "duplicate argument name 'b'"),
+            (
+                "gate g a { barrier b; }",
+                1,
+                20,
+                "unknown qubit argument 'b' in gate body",
+            ),
+            (
+                "gate g a { u3(1,2,3) a; }",
+                1,
+                12,
+                "gate 'u3' is outside the supported OpenQASM subset",
+            ),
+            ("gate g a { g a; }", 1, 12, "gate 'g' cannot call itself"),
+            (
+                "gate g a { foo a; }",
+                1,
+                12,
+                "unknown gate 'foo' in gate body",
+            ),
+            (
+                "gate g a { h a[0]; }",
+                1,
+                14,
+                "indexed qubits are not allowed inside gate bodies",
+            ),
+            (
+                "gate g a { h b; }",
+                1,
+                14,
+                "unknown qubit argument 'b' in gate body",
+            ),
+            (
+                &deep_gates,
+                2,
+                13,
+                "gate expansion nests deeper than 64 levels",
+            ),
+            // -- measure --
+            (
+                "qreg q[1];\ncreg c[1];\nmeasure q[0] c[0];",
+                3,
+                14,
+                "expected '->', found identifier 'c'",
+            ),
+            (
+                "qreg q[1];\nmeasure q[0]",
+                2,
+                13,
+                "expected '->', found end of input",
+            ),
+            (
+                "qreg q[1];\nmeasure q[0] -> c[0];",
+                2,
+                17,
+                "unknown classical register 'c'",
+            ),
+            (
+                "qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[1];",
+                3,
+                19,
+                "index 1 is out of range for register 'c' of size 1",
+            ),
+            (
+                "qreg q[2];\ncreg c[3];\nmeasure q -> c;",
+                3,
+                9,
+                "measure register sizes do not match (2 vs 3)",
+            ),
+            (
+                "qreg q[2];\ncreg c[2];\nmeasure q[0] -> c;",
+                3,
+                9,
+                "measure arguments must both be indexed or both be whole registers",
+            ),
+            // -- gate application --
+            (
+                "qreg a[2];\nqreg b[3];\ncx a,b;",
+                3,
+                1,
+                "broadcast registers have mismatched sizes (2 vs 3)",
+            ),
+            (
+                "qreg q[1];\nh(pi) q[0];",
+                2,
+                1,
+                "gate 'h' expects 0 parameter(s), found 1",
+            ),
+            (
+                "qreg q[2];\nh q[0],q[1];",
+                2,
+                1,
+                "gate 'h' expects 1 qubit argument(s), found 2",
+            ),
+            (
+                "gate g(a) b { }\nqreg q[1];\ng q[0];",
+                3,
+                1,
+                "gate 'g' expects 1 parameter(s), found 0",
+            ),
+            (
+                "gate g a { }\nqreg q[2];\ng q[0],q[1];",
+                3,
+                1,
+                "gate 'g' expects 1 qubit argument(s), found 2",
+            ),
+            (
+                "qreg q[1];\nrx(pi) q[0];",
+                2,
+                1,
+                "gate 'rx' is outside the supported OpenQASM subset",
+            ),
+            ("qreg q[1];\nfoo q[0];", 2, 1, "unknown gate 'foo'"),
+            (
+                "qreg q[1048576];\nh q;\nx q[0];",
+                3,
+                1,
+                "program expands to more than 1048576 gates",
+            ),
+        ];
+        for &(source, line, column, message) in cases {
+            assert_eq!(
+                from_qasm(source).unwrap_err(),
+                QuantumError::ParseQasmError {
+                    line,
+                    column,
+                    message: message.to_owned(),
+                },
+                "source: {source:?}"
+            );
+        }
     }
 
     #[test]
