@@ -1,13 +1,13 @@
 //! Criterion benchmark: the `ExecPlan` SoA kernel in isolation on the
 //! 20-qubit hidden shift circuit.
 //!
-//! Where `fusion_vs_baseline` compares whole execution paths end to end,
+//! Where `plan_vs_reference` compares whole runs end to end,
 //! this bench separates the plan pipeline into its stages: compiling the
 //! circuit down to flat dispatch records, and interpreting a precompiled
 //! plan against a resident split re/im register. The block-size variants
 //! show the cache-blocking trade-off directly, and the no-pair-fusion
-//! variant prices the bit-compatibility mode the differential suites and
-//! the noisy replay run in.
+//! variant prices the one-record-per-op mode the partition-invariance
+//! suites and the noisy replay run in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
@@ -17,7 +17,7 @@ use std::time::Duration;
 
 const NUM_QUBITS: usize = 20;
 
-/// Same 20-qubit hidden shift instance as `fusion_vs_baseline`: the
+/// Same 20-qubit hidden shift instance as `plan_vs_reference`: the
 /// inner-product bent function with shift `0b10_1101_1001`, synthesised
 /// with the transformation-based method.
 fn twenty_qubit_hidden_shift() -> QuantumCircuit {

@@ -675,10 +675,14 @@ mod tests {
 
     #[test]
     fn sparse_jobs_match_dense_jobs_shot_for_shot() {
-        // Unfused sequential execution makes the two engines' amplitudes
-        // (and therefore their sampling prefix sums) bit-identical, so
-        // equal-seed jobs must produce the *same* histogram.
-        let config = ExecConfig::baseline().with_shot_shard_size(128);
+        // Gate-by-gate sequential execution (no fusion, one plan record per
+        // gate) makes the two engines' amplitudes (and therefore their
+        // sampling prefix sums) agree, so equal-seed jobs must produce the
+        // *same* histogram.
+        let config = ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false)
+            .with_shot_shard_size(128);
         let engine = BatchEngine::with_config(config);
         let jobs: Vec<BatchJob> = [
             perm_job(vec![0, 2, 3, 5, 7, 1, 4, 6], 2000, 11),
@@ -704,7 +708,10 @@ mod tests {
         // but a pure phase-function oracle over Mcz(≤2)/Z gates can be; use
         // a parity-ish function whose compiled circuit is all-Clifford. The
         // linear function x0^x1 compiles to Z gates only.
-        let config = ExecConfig::baseline().with_shot_shard_size(128);
+        let config = ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false)
+            .with_shot_shard_size(128);
         let engine = BatchEngine::with_config(config);
         let job = BatchJob::new(
             OracleSpec::phase_function(

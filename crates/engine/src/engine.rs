@@ -211,12 +211,12 @@ impl MainEngine {
         }
     }
 
-    /// Creates an engine targeting the exact statevector simulator. Under
-    /// the default [`ExecConfig`] the backend executes circuits through the
+    /// Creates an engine targeting the exact statevector simulator, which
+    /// executes circuits through the
     /// [`ExecPlan`](qdaflow_quantum::plan::ExecPlan) SoA kernel (split
-    /// re/im amplitude arrays, cache-blocked multi-op sweeps); set
-    /// `plan: false` via [`MainEngine::with_simulator_config`] to replay
-    /// the legacy interleaved fused path instead.
+    /// re/im amplitude arrays, cache-blocked multi-op sweeps); tune its
+    /// threads, fusion and blocking with
+    /// [`MainEngine::with_simulator_config`].
     pub fn with_simulator() -> Self {
         Self::new(Box::new(StatevectorBackend::default()))
     }
@@ -887,35 +887,6 @@ mod tests {
         fused.h(qubits[0]).unwrap();
         fused.cnot(qubits[0], qubits[1]).unwrap();
         assert_eq!(unfused.counts, fused.flush(256).unwrap().counts);
-    }
-
-    #[test]
-    fn plan_and_legacy_paths_sample_identically_through_the_engine() {
-        // The same non-trivial program (superposition, phase oracle,
-        // multi-controlled mixing) through the plan SoA kernel and the
-        // legacy interleaved path. Sequential execution on both sides is
-        // bit-identical, so equal seeds must produce equal histograms.
-        let run = |plan: bool| {
-            let config = ExecConfig::sequential().with_plan(plan);
-            let mut engine = MainEngine::with_simulator_config(config);
-            let qubits = engine.allocate_qureg(4);
-            let f = Expr::parse("(x0 & x1) ^ (x2 & x3)").unwrap();
-            engine.all_h(&qubits).unwrap();
-            engine.phase_oracle_expr(&f, &qubits).unwrap();
-            engine
-                .apply_gate(QuantumGate::T(qubits[2].index()))
-                .unwrap();
-            engine
-                .apply_gate(QuantumGate::Ccx {
-                    control_a: qubits[0].index(),
-                    control_b: qubits[1].index(),
-                    target: qubits[3].index(),
-                })
-                .unwrap();
-            engine.all_h(&qubits).unwrap();
-            engine.flush(512).unwrap().counts
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! the same permutation as the reversible circuit it was mapped from.
 
 use crate::MappingError;
-use qdaflow_quantum::fusion::{ExecConfig, FusedProgram};
-use qdaflow_quantum::statevector::Statevector;
-use qdaflow_quantum::QuantumCircuit;
+use qdaflow_quantum::fusion::ExecConfig;
+use qdaflow_quantum::plan::{ExecPlan, SoaStatevector};
+use qdaflow_quantum::{QuantumCircuit, QuantumError, MAX_SIMULATOR_QUBITS};
 use qdaflow_reversible::ReversibleCircuit;
 
 /// Verifies (by exhaustive basis-state simulation) that `quantum` realizes
@@ -28,8 +28,8 @@ pub fn quantum_matches_reversible(
 }
 
 /// [`quantum_matches_reversible`] with an explicit execution configuration.
-/// The quantum circuit is compiled once to a fused program and replayed on
-/// every basis state.
+/// The quantum circuit is compiled once to an [`ExecPlan`] and replayed on
+/// every basis state of one reused state.
 ///
 /// # Errors
 ///
@@ -40,13 +40,21 @@ pub fn quantum_matches_reversible_with(
     reversible: &ReversibleCircuit,
     config: &ExecConfig,
 ) -> Result<bool, MappingError> {
-    let program = FusedProgram::compile(quantum, config);
+    if quantum.num_qubits() > MAX_SIMULATOR_QUBITS {
+        return Err(QuantumError::TooManyQubits {
+            requested: quantum.num_qubits(),
+            maximum: MAX_SIMULATOR_QUBITS,
+        }
+        .into());
+    }
+    let plan = ExecPlan::compile(quantum, config);
+    let mut state = SoaStatevector::zero_state(quantum.num_qubits(), plan.block_bits());
     let lines = reversible.num_lines();
     for basis in 0..(1usize << lines) {
-        let mut state = Statevector::basis_state(quantum.num_qubits(), basis)?;
-        program.apply(state.amplitudes_mut(), config);
+        state.reset_to_basis(basis);
+        plan.apply_soa(&mut state, config);
         let expected = reversible.apply(basis);
-        if state.probability_of(expected) < 1.0 - 1e-9 {
+        if state.amplitude(expected).norm_sqr() < 1.0 - 1e-9 {
             return Ok(false);
         }
     }

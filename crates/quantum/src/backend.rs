@@ -7,12 +7,10 @@
 //! [`StatevectorBackend`], the [`NoisyHardwareBackend`] standing in for the
 //! IBM Quantum Experience chip, and the [`ResourceCounterBackend`].
 //!
-//! Dense state evolution inside these backends is governed by the
-//! [`ExecConfig`] they are built with: by default circuits compile into the
+//! Dense state evolution inside these backends always runs through the
 //! [`ExecPlan`](crate::plan::ExecPlan) kernel (structure-of-arrays amplitudes,
-//! cache-blocked sweeps, persistent worker pool); setting
-//! [`ExecConfig::plan`] to `false` replays the legacy fused gate-at-a-time
-//! path instead.
+//! cache-blocked sweeps, persistent worker pool); the [`ExecConfig`] they
+//! are built with sets its thread count, fusion, block size and batching.
 
 use crate::fusion::ExecConfig;
 use crate::noise::{NoiseModel, NoisySimulator};
@@ -385,6 +383,17 @@ mod tests {
         );
         assert_eq!(dense, sparse);
         assert!(!sparse.counts.contains_key(&1), "zero counts are dropped");
+    }
+
+    #[test]
+    fn oversized_circuits_are_a_typed_error_on_the_noisy_backend() {
+        // 70 qubits: beyond the simulator limit and beyond a usize shift.
+        let mut backend = NoisyHardwareBackend::default();
+        let result = backend.run(&QuantumCircuit::new(70), 8);
+        assert!(matches!(
+            result,
+            Err(QuantumError::TooManyQubits { requested: 70, .. })
+        ));
     }
 
     #[test]

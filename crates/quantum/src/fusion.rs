@@ -1,31 +1,28 @@
-//! Gate fusion and chunked multi-threaded statevector execution.
+//! The execution configuration and the gate-fusion pass: the lowering IR
+//! between a [`QuantumCircuit`] and the [`ExecPlan`] interpreter.
 //!
-//! This module is the optimized execution layer sitting on top of the scalar
-//! [`kernel`]: a circuit is first *compiled* into a
-//! [`FusedProgram`] — a short list of [`FusedOp`] kernel operations in which
-//! runs of adjacent diagonal gates on the same subspace mask have been
-//! coalesced into a single phase multiply and adjacent dense single-qubit
-//! gates on the same qubit have been merged into one 2×2 matrix product —
-//! and the program is then *applied* to the amplitude slice with
-//! cache-friendly loops that skip the untouched part of the index space and,
-//! for large registers, split the work over scoped OS threads.
+//! A circuit is first *compiled* into a [`FusedProgram`] — a short list of
+//! [`FusedOp`] operations in which runs of adjacent diagonal gates on the
+//! same subspace mask have been coalesced into a single phase multiply,
+//! adjacent dense single-qubit gates on the same qubit have been merged into
+//! one 2×2 matrix product, and self-inverse pairs cancel. The program is
+//! never executed directly: [`ExecPlan::from_program`] lowers it into the
+//! flat dispatch records the one dense executor interprets.
 //!
-//! The [`ExecConfig`] knob selects the thread count, toggles the fusion pass
-//! and sets the register size below which threading is never attempted. It
-//! is threaded through every execution path of the workspace: the
+//! The [`ExecConfig`] knob selects the thread count, toggles the fusion pass,
+//! sets the register size below which threading is never attempted, and
+//! carries the plan interpreter's block size and batching switch. It is
+//! threaded through every execution path of the workspace: the
 //! [`Statevector`](crate::statevector::Statevector) simulator, the
 //! Monte-Carlo noisy simulator, the sampling backends, the engine crate's
 //! `MainEngine` and the RevKit-style shell's `exec` command.
 //!
-//! Correctness of the fused, parallel path is established differentially:
-//! the `tests/differential.rs` property suites compare it
-//! amplitude-for-amplitude against the deliberately naive
-//! [`DenseReference`](crate::reference::DenseReference) oracle.
+//! [`ExecPlan`]: crate::plan::ExecPlan
+//! [`ExecPlan::from_program`]: crate::plan::ExecPlan::from_program
 
 use crate::circuit::QuantumCircuit;
 use crate::complex::Complex;
 use crate::gate::QuantumGate;
-use crate::kernel;
 use std::thread;
 
 /// Tolerance under which a fused operation is recognized as the identity and
@@ -56,11 +53,13 @@ pub struct ExecConfig {
     /// with the seed and the shot count it fully determines the sharded
     /// histogram, independent of the thread count.
     pub shot_shard_size: usize,
-    /// Whether circuits execute through the [`ExecPlan`] SoA interpreter
-    /// (the production path) or the legacy interleaved `Vec<Complex>` fused
-    /// path (kept as the differential oracle).
+    /// Always `true`: every dense job runs through the [`ExecPlan`] SoA
+    /// interpreter, the only dense executor. Nothing in the workspace reads
+    /// this field any more; it stays only so code that still checks it
+    /// keeps compiling.
     ///
     /// [`ExecPlan`]: crate::plan::ExecPlan
+    #[deprecated(note = "ExecPlan is the only dense executor; this field is always true")]
     pub plan: bool,
     /// log2 of the amplitudes per cache block of the plan interpreter;
     /// `0` selects [`DEFAULT_BLOCK_BITS`](crate::plan::DEFAULT_BLOCK_BITS).
@@ -71,8 +70,8 @@ pub struct ExecConfig {
     /// pairs multiply into one 2×2, and adjacent cross-block dense ops
     /// batch into single 4×4 applications. Exact up to floating-point
     /// rounding (reordering only ever swaps commuting ops, batching adds
-    /// one rounding in the composed matrix); disable for bit-identical
-    /// replay of the legacy op order.
+    /// one rounding in the composed matrix); disable to keep one record
+    /// per fused op, in program order.
     pub pair_fusion: bool,
 }
 
@@ -80,6 +79,7 @@ impl ExecConfig {
     /// Fusion on, one worker per available CPU (capped at 16), threading
     /// only for registers of at least 2^16 amplitudes — below that, per-op
     /// thread startup costs more than the sweep itself.
+    #[allow(deprecated)]
     pub fn auto() -> Self {
         Self {
             threads: thread::available_parallelism()
@@ -99,19 +99,6 @@ impl ExecConfig {
     pub fn sequential() -> Self {
         Self {
             threads: 1,
-            ..Self::auto()
-        }
-    }
-
-    /// The pre-fusion behaviour: one kernel op per gate, single-threaded,
-    /// on the legacy interleaved path. This is the baseline the
-    /// `fusion_vs_baseline` bench compares against.
-    pub fn baseline() -> Self {
-        Self {
-            threads: 1,
-            fusion: false,
-            parallel_threshold: usize::MAX,
-            plan: false,
             ..Self::auto()
         }
     }
@@ -142,14 +129,6 @@ impl ExecConfig {
     #[must_use]
     pub fn with_shot_shard_size(mut self, shot_shard_size: usize) -> Self {
         self.shot_shard_size = shot_shard_size;
-        self
-    }
-
-    /// Selects the plan interpreter (`true`, default) or the legacy
-    /// interleaved path (`false`).
-    #[must_use]
-    pub fn with_plan(mut self, plan: bool) -> Self {
-        self.plan = plan;
         self
     }
 
@@ -185,9 +164,9 @@ impl Default for ExecConfig {
     }
 }
 
-/// One operation of a compiled [`FusedProgram`], the instruction set of the
-/// execution layer. Gates that act identically on the amplitude slice lower
-/// to the same op (e.g. Z, CZ and MCZ are all a [`FusedOp::Phase`]).
+/// One operation of a compiled [`FusedProgram`], the lowering IR of the
+/// plan interpreter. Gates that act identically on the amplitudes lower to
+/// the same op (e.g. Z, CZ and MCZ are all a [`FusedOp::Phase`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FusedOp {
     /// An arbitrary 2×2 unitary on one qubit — a dense single-qubit gate or
@@ -224,7 +203,7 @@ pub enum FusedOp {
 }
 
 impl FusedOp {
-    /// Lowers one gate to its kernel operation.
+    /// Lowers one gate to its operation.
     pub fn from_gate(gate: &QuantumGate) -> Self {
         match gate {
             QuantumGate::Cx { control, target } => Self::Mcx {
@@ -333,9 +312,10 @@ impl FusedOp {
     }
 }
 
-/// A circuit compiled for the fused execution layer: an ordered list of
-/// [`FusedOp`]s equivalent (up to floating-point round-off in merged
-/// matrices) to the source gate sequence.
+/// A circuit compiled by the fusion pass: an ordered list of [`FusedOp`]s
+/// equivalent (up to floating-point round-off in merged matrices) to the
+/// source gate sequence, ready to lower into an
+/// [`ExecPlan`](crate::plan::ExecPlan).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     num_qubits: usize,
@@ -343,8 +323,7 @@ pub struct FusedProgram {
 }
 
 impl FusedProgram {
-    /// Lowers a circuit one gate per op, without any fusion. This reproduces
-    /// the per-gate kernel dispatch exactly.
+    /// Lowers a circuit one gate per op, without any fusion.
     pub fn lower(circuit: &QuantumCircuit) -> Self {
         Self {
             num_qubits: circuit.num_qubits(),
@@ -394,86 +373,6 @@ impl FusedProgram {
     /// Number of compiled operations (≤ the source gate count).
     pub fn num_ops(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Applies the program in place to a `2^n` amplitude slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is shorter than the program's register (ops may
-    /// run on a larger register, where the extra qubits are spectators).
-    pub fn apply(&self, amplitudes: &mut [Complex], config: &ExecConfig) {
-        assert!(
-            kernel::num_qubits_of(amplitudes) >= self.num_qubits,
-            "a {}-qubit program cannot run on {} amplitudes",
-            self.num_qubits,
-            amplitudes.len()
-        );
-        let threads = config.effective_threads(amplitudes.len());
-        for op in &self.ops {
-            apply_op_with_threads(amplitudes, op, threads);
-        }
-    }
-}
-
-/// Applies one kernel op in place, using the configured execution layer
-/// (threaded for large slices, optimized sequential loops otherwise).
-///
-/// # Panics
-///
-/// Panics if the op references a qubit outside the register.
-pub fn apply_op(amplitudes: &mut [Complex], op: &FusedOp, config: &ExecConfig) {
-    apply_op_with_threads(amplitudes, op, config.effective_threads(amplitudes.len()));
-}
-
-fn apply_op_with_threads(amplitudes: &mut [Complex], op: &FusedOp, threads: usize) {
-    let num_qubits = kernel::num_qubits_of(amplitudes);
-    let in_range = |qubit: usize| {
-        assert!(
-            qubit < num_qubits,
-            "qubit {qubit} out of range for a {num_qubits}-qubit register"
-        );
-    };
-    match op {
-        FusedOp::Dense { qubit, matrix } => {
-            in_range(*qubit);
-            if threads > 1 {
-                dense_parallel(amplitudes, *qubit, matrix, threads);
-            } else {
-                dense_sequential(amplitudes, *qubit, matrix);
-            }
-        }
-        FusedOp::Phase { mask, phase } => {
-            // `mask == 0` (a global phase) is already covered by the range
-            // check: the slice length is at least 1.
-            assert!(
-                *mask < amplitudes.len(),
-                "mask {mask:#x} out of range for a {num_qubits}-qubit register"
-            );
-            if threads > 1 {
-                phase_parallel(amplitudes, *mask, *phase, threads);
-            } else {
-                phase_sequential(amplitudes, *mask, *phase);
-            }
-        }
-        // Permutation ops move data instead of computing; they stay
-        // sequential (the half-space swap loop is already memory-bound).
-        FusedOp::Mcx {
-            control_mask,
-            target,
-        } => {
-            in_range(*target);
-            assert!(
-                *control_mask < amplitudes.len(),
-                "controls {control_mask:#x} out of range for a {num_qubits}-qubit register"
-            );
-            kernel::mcx_masked(amplitudes, *control_mask, 1 << target);
-        }
-        FusedOp::Swap { a, b } => {
-            in_range(*a);
-            in_range(*b);
-            kernel::swap_masked(amplitudes, 1 << a, 1 << b);
-        }
     }
 }
 
@@ -586,140 +485,22 @@ fn matmul(left: &[[Complex; 2]; 2], right: &[[Complex; 2]; 2]) -> [[Complex; 2];
     out
 }
 
-/// Applies a 2×2 matrix to paired low/high amplitude slices of equal length.
-fn dense_on_pairs(low: &mut [Complex], high: &mut [Complex], matrix: &[[Complex; 2]; 2]) {
-    for (l, h) in low.iter_mut().zip(high.iter_mut()) {
-        let a = *l;
-        let b = *h;
-        *l = matrix[0][0] * a + matrix[0][1] * b;
-        *h = matrix[1][0] * a + matrix[1][1] * b;
-    }
-}
-
-fn dense_sequential(amplitudes: &mut [Complex], qubit: usize, matrix: &[[Complex; 2]; 2]) {
-    let bit = 1usize << qubit;
-    for block in amplitudes.chunks_mut(bit << 1) {
-        let (low, high) = block.split_at_mut(bit);
-        dense_on_pairs(low, high, matrix);
-    }
-}
-
-/// Dense single-qubit apply over scoped threads. The amplitude slice is cut
-/// into cache-sized sub-chunks of paired low/high halves — disjoint `&mut`
-/// slices, so the distribution over threads needs no synchronization.
-fn dense_parallel(
-    amplitudes: &mut [Complex],
-    qubit: usize,
-    matrix: &[[Complex; 2]; 2],
-    threads: usize,
-) {
-    let bit = 1usize << qubit;
-    let pairs = amplitudes.len() / 2;
-    // Aim for a few work items per thread so ragged tails even out, but never
-    // split below one pair or above a half-block.
-    let sub = (pairs / (threads * 4)).clamp(1, bit);
-    let mut buckets: Vec<Vec<(&mut [Complex], &mut [Complex])>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    let mut next = 0usize;
-    for block in amplitudes.chunks_mut(bit << 1) {
-        let (low, high) = block.split_at_mut(bit);
-        for item in low.chunks_mut(sub).zip(high.chunks_mut(sub)) {
-            buckets[next].push(item);
-            next = (next + 1) % threads;
-        }
-    }
-    let matrix = *matrix;
-    thread::scope(|scope| {
-        for bucket in buckets {
-            scope.spawn(move || {
-                for (low, high) in bucket {
-                    dense_on_pairs(low, high, &matrix);
-                }
-            });
-        }
-    });
-}
-
-fn phase_sequential(amplitudes: &mut [Complex], mask: usize, phase: Complex) {
-    if mask == 0 {
-        // A global phase (e.g. an MCZ over zero qubits).
-        for amplitude in amplitudes.iter_mut() {
-            *amplitude = phase * *amplitude;
-        }
-        return;
-    }
-    // Enumerate only the masked subspace: 2^{n-k} indices instead of a full
-    // scan with a per-index test.
-    let positions = kernel::mask_bit_values(mask);
-    let count = amplitudes.len() >> positions.len();
-    for compact in 0..count {
-        let mut index = compact;
-        for &bit in &positions {
-            index = kernel::insert_bit(index, bit, true);
-        }
-        amplitudes[index] = phase * amplitudes[index];
-    }
-}
-
-/// Phase multiply over scoped threads. Chunks are aligned to a multiple of
-/// twice the mask's highest bit, so every chunk contains whole periods of
-/// the mask pattern and each thread enumerates only its own share of the
-/// masked subspace (never a full scan), exactly like [`phase_sequential`].
-fn phase_parallel(amplitudes: &mut [Complex], mask: usize, phase: Complex, threads: usize) {
-    if mask == 0 {
-        // Global phase: plain even split.
-        let chunk = amplitudes.len().div_ceil(threads);
-        thread::scope(|scope| {
-            for piece in amplitudes.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for amplitude in piece.iter_mut() {
-                        *amplitude = phase * *amplitude;
-                    }
-                });
-            }
-        });
-        return;
-    }
-    let positions = kernel::mask_bit_values(mask);
-    let alignment = positions.last().copied().unwrap_or(1) << 1;
-    let blocks = amplitudes.len() / alignment;
-    if blocks < 2 {
-        // The mask involves the top qubit: too coarse to split.
-        phase_sequential(amplitudes, mask, phase);
-        return;
-    }
-    // Hand each thread a run of whole alignment blocks; inside a chunk the
-    // offset is a multiple of every mask bit, so local enumeration works.
-    let chunk = blocks.div_ceil(threads) * alignment;
-    thread::scope(|scope| {
-        for piece in amplitudes.chunks_mut(chunk) {
-            let positions = &positions;
-            scope.spawn(move || {
-                let count = piece.len() >> positions.len();
-                for compact in 0..count {
-                    let mut index = compact;
-                    for &bit in positions {
-                        index = kernel::insert_bit(index, bit, true);
-                    }
-                    piece[index] = phase * piece[index];
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::apply_gate;
+    use crate::plan::{ExecPlan, SoaStatevector};
+    use crate::reference::DenseReference;
+    use crate::statevector::Statevector;
 
-    fn uniform_state(num_qubits: usize) -> Vec<Complex> {
-        let mut amplitudes = vec![Complex::ZERO; 1 << num_qubits];
-        amplitudes[0] = Complex::ONE;
+    /// The uniform superposition in SoA layout with 4-amplitude blocks, so
+    /// single ops on wider registers hit both in-block and cross-block
+    /// dispatch.
+    fn uniform_state(num_qubits: usize) -> SoaStatevector {
+        let mut state = SoaStatevector::zero_state(num_qubits, 2);
         for qubit in 0..num_qubits {
-            apply_gate(&mut amplitudes, &QuantumGate::H(qubit));
+            state.apply_fused_op(&FusedOp::from_gate(&QuantumGate::H(qubit)));
         }
-        amplitudes
+        state
     }
 
     fn sample_circuit() -> QuantumCircuit {
@@ -744,17 +525,30 @@ mod tests {
         circuit
     }
 
+    /// Runs `circuit` under `config` and checks it against the kernel run
+    /// gate by gate (no fusion, one record per gate) and against the dense
+    /// reference oracle.
     fn assert_matches_kernel(circuit: &QuantumCircuit, config: &ExecConfig) {
-        let mut expected = vec![Complex::ZERO; 1 << circuit.num_qubits()];
-        expected[0] = Complex::ONE;
-        kernel::apply_circuit(&mut expected, circuit);
-        let mut fused = vec![Complex::ZERO; 1 << circuit.num_qubits()];
-        fused[0] = Complex::ONE;
-        FusedProgram::compile(circuit, config).apply(&mut fused, config);
-        for (index, (a, b)) in fused.iter().zip(&expected).enumerate() {
+        let gate_by_gate = ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false);
+        let expected = Statevector::run(circuit, &gate_by_gate).unwrap();
+        let reference = DenseReference::from_circuit(circuit).unwrap();
+        let fused = Statevector::run(circuit, config).unwrap();
+        for (index, ((a, b), c)) in fused
+            .amplitudes()
+            .iter()
+            .zip(expected.amplitudes())
+            .zip(reference.amplitudes())
+            .enumerate()
+        {
             assert!(
                 a.approx_eq(*b, 1e-12),
-                "amplitude {index}: fused {a:?} vs kernel {b:?}"
+                "amplitude {index}: fused {a:?} vs gate by gate {b:?}"
+            );
+            assert!(
+                a.approx_eq(*c, 1e-12),
+                "amplitude {index}: fused {a:?} vs reference {c:?}"
             );
         }
     }
@@ -824,60 +618,61 @@ mod tests {
 
     #[test]
     fn lowered_execution_matches_the_kernel() {
-        assert_matches_kernel(&sample_circuit(), &ExecConfig::baseline());
+        // No fusion pass, but the plan lowering may still batch.
+        assert_matches_kernel(
+            &sample_circuit(),
+            &ExecConfig::sequential().with_fusion(false),
+        );
     }
 
     #[test]
     fn threaded_execution_matches_the_kernel() {
-        // Force threading even for the tiny test register.
+        // Force the worker pool even for the tiny test register.
         let config = ExecConfig::auto()
             .with_threads(3)
-            .with_parallel_threshold(2);
+            .with_parallel_threshold(2)
+            .with_block_bits(1);
         assert_matches_kernel(&sample_circuit(), &config);
     }
 
     #[test]
     fn threaded_ops_match_sequential_ops() {
-        for op in [
-            FusedOp::Dense {
-                qubit: 0,
-                matrix: QuantumGate::H(0).single_qubit_matrix().unwrap(),
+        // One op per plan, on 4-amplitude blocks: the pooled interpreter
+        // must reproduce the sequential one bit for bit for every op class.
+        let gates = [
+            QuantumGate::H(0),
+            QuantumGate::Y(4),
+            QuantumGate::Cz { a: 1, b: 4 },
+            QuantumGate::T(3),
+            QuantumGate::Ccx {
+                control_a: 0,
+                control_b: 1,
+                target: 4,
             },
-            FusedOp::Dense {
-                qubit: 4,
-                matrix: QuantumGate::Y(4).single_qubit_matrix().unwrap(),
-            },
-            FusedOp::Phase {
-                mask: 0b10010,
-                phase: Complex::I,
-            },
-            FusedOp::Phase {
-                mask: 0,
-                phase: Complex::from_angle(0.4),
-            },
-        ] {
+            QuantumGate::Swap { a: 1, b: 4 },
+        ];
+        let sequential_config = ExecConfig::sequential().with_block_bits(2);
+        let threaded_config = sequential_config.with_threads(4).with_parallel_threshold(2);
+        for gate in gates {
+            let mut circuit = QuantumCircuit::new(5);
+            circuit.push(gate.clone()).unwrap();
+            let plan = ExecPlan::compile(&circuit, &sequential_config);
             let mut sequential = uniform_state(5);
             let mut threaded = sequential.clone();
-            apply_op_with_threads(&mut sequential, &op, 1);
-            apply_op_with_threads(&mut threaded, &op, 4);
-            for (a, b) in threaded.iter().zip(&sequential) {
-                assert!(a.approx_eq(*b, 1e-12), "{op:?}: {a:?} vs {b:?}");
-            }
+            plan.apply_soa(&mut sequential, &sequential_config);
+            plan.apply_soa(&mut threaded, &threaded_config);
+            assert_eq!(threaded, sequential, "{gate:?}");
         }
     }
 
     #[test]
     fn global_phase_op_touches_every_amplitude() {
-        let mut amplitudes = uniform_state(2);
-        apply_op(
-            &mut amplitudes,
-            &FusedOp::Phase {
-                mask: 0,
-                phase: Complex::real(-1.0),
-            },
-            &ExecConfig::sequential(),
-        );
-        for amplitude in &amplitudes {
+        let mut state = uniform_state(2);
+        state.apply_fused_op(&FusedOp::Phase {
+            mask: 0,
+            phase: Complex::real(-1.0),
+        });
+        for amplitude in state.to_amplitudes() {
             assert!(amplitude.re < 0.0);
         }
     }
@@ -885,35 +680,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_op_panics() {
-        let mut amplitudes = uniform_state(2);
-        apply_op(
-            &mut amplitudes,
-            &FusedOp::Dense {
-                qubit: 5,
-                matrix: QuantumGate::H(5).single_qubit_matrix().unwrap(),
-            },
-            &ExecConfig::sequential(),
-        );
+        let mut state = uniform_state(2);
+        state.apply_fused_op(&FusedOp::Dense {
+            qubit: 5,
+            matrix: QuantumGate::H(5).single_qubit_matrix().unwrap(),
+        });
     }
 
     #[test]
+    #[allow(deprecated)]
     fn config_constructors() {
         assert!(ExecConfig::default().fusion);
+        // Code that still reads the retired `plan` field sees the only
+        // executor there is.
         assert!(ExecConfig::default().plan);
+        assert!(ExecConfig::sequential().plan);
         assert_eq!(ExecConfig::sequential().threads, 1);
-        assert!(!ExecConfig::baseline().fusion);
-        assert!(!ExecConfig::baseline().plan);
         let custom = ExecConfig::auto()
             .with_threads(2)
             .with_fusion(false)
             .with_parallel_threshold(64)
-            .with_plan(false)
             .with_block_bits(8)
             .with_pair_fusion(false);
         assert_eq!(custom.threads, 2);
         assert!(!custom.fusion);
         assert_eq!(custom.parallel_threshold, 64);
-        assert!(!custom.plan);
         assert_eq!(custom.block_bits, 8);
         assert!(!custom.pair_fusion);
         // Tiny registers never spawn threads under the auto threshold.
@@ -925,14 +716,10 @@ mod tests {
     fn out_of_range_phase_mask_panics() {
         // The mask names a qubit outside the 2-qubit register; the guard
         // must reject it rather than silently touching nothing.
-        let mut amplitudes = uniform_state(2);
-        apply_op(
-            &mut amplitudes,
-            &FusedOp::Phase {
-                mask: 0b100,
-                phase: Complex::I,
-            },
-            &ExecConfig::sequential(),
-        );
+        let mut state = uniform_state(2);
+        state.apply_fused_op(&FusedOp::Phase {
+            mask: 0b100,
+            phase: Complex::I,
+        });
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! This crate plays the role of the "target platform" layer of the paper's
 //! flow (Fig. 2): quantum circuits over the Clifford+T gate set, an exact
-//! statevector simulator, a Monte-Carlo noisy simulator standing in for the
-//! IBM Quantum Experience chip used in the paper's Fig. 6, a resource
-//! counter, an ASCII circuit drawer and an OpenQASM 2.0 exporter.
+//! statevector simulator (one dense executor, the [`ExecPlan`] interpreter,
+//! checked against the [`DenseReference`] oracle), a Monte-Carlo noisy
+//! simulator standing in for the IBM Quantum Experience chip used in the
+//! paper's Fig. 6, a resource counter, an ASCII circuit drawer and an
+//! OpenQASM 2.0 exporter.
 //!
 //! # Example
 //!
@@ -36,7 +38,6 @@ pub mod drawer;
 pub mod error;
 pub mod fusion;
 pub mod gate;
-pub mod kernel;
 pub mod noise;
 pub mod plan;
 pub mod qasm;

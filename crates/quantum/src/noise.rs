@@ -16,10 +16,13 @@
 //! (`p1 = 0.002`, `p2 = 0.025`, `readout = 0.04`), which lands the 4-qubit
 //! hidden shift benchmark in the same success-probability regime as the
 //! paper's histogram.
+//!
+//! Every shot replays the circuit's [`ExecPlan`] record by record on one
+//! reused struct-of-arrays state, with the sampled Pauli errors applied
+//! between records through the same interpreter.
 
-use crate::fusion::{self, ExecConfig, FusedOp, FusedProgram};
+use crate::fusion::{ExecConfig, FusedOp, FusedProgram};
 use crate::plan::{ExecPlan, SoaStatevector};
-use crate::statevector::Statevector;
 use crate::{QuantumCircuit, QuantumError, QuantumGate, MAX_SIMULATOR_QUBITS};
 use rand::Rng;
 
@@ -99,15 +102,15 @@ impl Default for NoiseModel {
 /// statevector simulator with randomly inserted Pauli errors, then samples a
 /// measurement and applies readout errors.
 ///
-/// Gate application goes through the configured execution layer: the circuit
-/// is lowered once per [`NoisySimulator::run`] into kernel ops (one per gate,
-/// since the stochastic noise channel between gates forbids cross-gate
-/// fusion) and every shot replays the lowered program. With `config.plan`
-/// set (the default) the lowering is additionally compiled once into an
-/// [`ExecPlan`] whose records are replayed shot after shot on a reused SoA
-/// state — the plan, its matrix pool and the amplitude buffers are built a
-/// single time for the whole run. The RNG stream and the produced histograms
-/// are bit-identical between the plan and legacy paths.
+/// Gate application goes through the [`ExecPlan`] interpreter: the circuit
+/// is compiled once per run into a plan with one record per gate (the
+/// stochastic noise channel between gates forbids cross-gate fusion), and
+/// every shot replays the records on a reused SoA state, inserting the
+/// sampled Paulis between them. The plan, its matrix pool and the amplitude
+/// buffers are built a single time for the whole run, and for a given RNG
+/// state the produced histogram is fixed: per gate, one draw per touched
+/// qubit (plus one Pauli choice per error), then one measurement draw and
+/// one readout draw per qubit.
 #[derive(Debug, Clone)]
 pub struct NoisySimulator {
     model: NoiseModel,
@@ -150,91 +153,17 @@ impl NoisySimulator {
         shots: usize,
         rng: &mut R,
     ) -> Result<Vec<usize>, QuantumError> {
-        let num_qubits = circuit.num_qubits();
-        let mut histogram = vec![0usize; 1 << num_qubits];
-        // Lower once, replay per shot.
-        let lowered = Self::lower(circuit);
-        if self.config.plan {
-            if num_qubits > MAX_SIMULATOR_QUBITS {
-                return Err(QuantumError::TooManyQubits {
-                    requested: num_qubits,
-                    maximum: MAX_SIMULATOR_QUBITS,
-                });
-            }
-            // Plan once for the whole run: records stay 1:1 with the gates
-            // (pair fusion off) so noise channels interleave between them,
-            // and the SoA state is reset in place between shots.
-            let plan = ExecPlan::from_program(
-                &FusedProgram::lower(circuit),
-                &self.config.with_pair_fusion(false),
-            );
-            debug_assert_eq!(plan.num_records(), lowered.len());
-            let mut state = SoaStatevector::zero_state(num_qubits, plan.block_bits());
-            for _ in 0..shots {
-                let outcome = self.run_plan_shot(&plan, &lowered, &mut state, num_qubits, rng);
-                histogram[outcome] += 1;
-            }
-        } else {
-            for _ in 0..shots {
-                let outcome = self.run_lowered_shot(&lowered, num_qubits, rng)?;
-                histogram[outcome] += 1;
-            }
+        let mut replay = Replay::new(circuit, &self.config)?;
+        let mut histogram = vec![0usize; 1 << circuit.num_qubits()];
+        for _ in 0..shots {
+            histogram[self.run_shot(&mut replay, rng)] += 1;
         }
         Ok(histogram)
     }
 
-    /// Lowers a circuit to kernel ops; each entry keeps the source gate's
-    /// qubits and arity class for the trailing depolarizing channel.
-    fn lower(circuit: &QuantumCircuit) -> Vec<(FusedOp, Vec<usize>, bool)> {
-        circuit
-            .iter()
-            .map(|gate| (FusedOp::from_gate(gate), gate.qubits(), gate.arity() == 1))
-            .collect()
-    }
-
-    /// Runs one shot of a pre-lowered program on the legacy interleaved
-    /// amplitude layout.
-    fn run_lowered_shot<R: Rng + ?Sized>(
-        &self,
-        lowered: &[(FusedOp, Vec<usize>, bool)],
-        num_qubits: usize,
-        rng: &mut R,
-    ) -> Result<usize, QuantumError> {
-        let mut state = Statevector::new(num_qubits)?;
-        for (op, qubits, is_single_qubit) in lowered {
-            fusion::apply_op(state.amplitudes_mut(), op, &self.config);
-            self.apply_depolarizing(&mut state, qubits, *is_single_qubit, rng);
-        }
-        Ok(self.measure_with_readout(&state, num_qubits, rng))
-    }
-
-    /// Runs one shot by replaying a pre-compiled plan record by record on a
-    /// reused SoA state, drawing the exact RNG sequence of the legacy path.
-    fn run_plan_shot<R: Rng + ?Sized>(
-        &self,
-        plan: &ExecPlan,
-        lowered: &[(FusedOp, Vec<usize>, bool)],
-        state: &mut SoaStatevector,
-        num_qubits: usize,
-        rng: &mut R,
-    ) -> usize {
-        state.reset();
-        for (index, (_, qubits, is_single_qubit)) in lowered.iter().enumerate() {
-            plan.apply_record(state, index);
-            self.apply_depolarizing_soa(state, qubits, *is_single_qubit, rng);
-        }
-        let mut outcome = state.sample_linear(rng);
-        if self.model.readout_error > 0.0 {
-            for qubit in 0..num_qubits {
-                if rng.gen::<f64>() < self.model.readout_error {
-                    outcome ^= 1usize << qubit;
-                }
-            }
-        }
-        outcome
-    }
-
-    /// Runs one noisy shot and returns the measured basis state.
+    /// Runs one noisy shot and returns the measured basis state: the same
+    /// replay, and the same RNG draws, as one shot of
+    /// [`NoisySimulator::run`].
     ///
     /// # Errors
     ///
@@ -245,41 +174,35 @@ impl NoisySimulator {
         circuit: &QuantumCircuit,
         rng: &mut R,
     ) -> Result<usize, QuantumError> {
-        self.run_lowered_shot(&Self::lower(circuit), circuit.num_qubits(), rng)
+        let mut replay = Replay::new(circuit, &self.config)?;
+        Ok(self.run_shot(&mut replay, rng))
     }
 
-    fn apply_depolarizing<R: Rng + ?Sized>(
-        &self,
-        state: &mut Statevector,
-        qubits: &[usize],
-        is_single_qubit: bool,
-        rng: &mut R,
-    ) {
-        let probability = if is_single_qubit {
-            self.model.single_qubit_depolarizing
-        } else {
-            self.model.two_qubit_depolarizing
-        };
-        if probability == 0.0 {
-            return;
+    /// Runs one shot: resets the state, replays the plan record by record
+    /// with a depolarizing channel after each gate, then measures with
+    /// readout errors.
+    fn run_shot<R: Rng + ?Sized>(&self, replay: &mut Replay, rng: &mut R) -> usize {
+        replay.state.reset();
+        for (index, (qubits, is_single_qubit)) in replay.gates.iter().enumerate() {
+            replay.plan.apply_record(&mut replay.state, index);
+            self.apply_depolarizing(&mut replay.state, qubits, *is_single_qubit, rng);
         }
-        for &qubit in qubits {
-            if rng.gen::<f64>() < probability {
-                // Depolarizing channel: apply X, Y or Z with equal probability.
-                match rng.gen_range(0..3) {
-                    0 => state.apply_gate(&QuantumGate::X(qubit)),
-                    1 => state.apply_gate(&QuantumGate::Y(qubit)),
-                    _ => state.apply_gate(&QuantumGate::Z(qubit)),
+        let mut outcome = replay.state.sample_linear(rng);
+        // Readout errors: flip each measured bit independently.
+        if self.model.readout_error > 0.0 {
+            for qubit in 0..replay.state.num_qubits() {
+                if rng.gen::<f64>() < self.model.readout_error {
+                    outcome ^= 1usize << qubit;
                 }
             }
         }
+        outcome
     }
 
-    /// The SoA twin of [`NoisySimulator::apply_depolarizing`]: identical RNG
-    /// draws, with the Pauli insertions routed through the same dense/phase
-    /// classification as the kernel (X and Y dense, Z a phase) so the
-    /// amplitude evolution matches the legacy path bit for bit.
-    fn apply_depolarizing_soa<R: Rng + ?Sized>(
+    /// Applies the depolarizing channel after one gate: each of the gate's
+    /// qubits suffers, with the gate class's probability, an X, Y or Z
+    /// chosen uniformly.
+    fn apply_depolarizing<R: Rng + ?Sized>(
         &self,
         state: &mut SoaStatevector,
         qubits: &[usize],
@@ -296,7 +219,6 @@ impl NoisySimulator {
         }
         for &qubit in qubits {
             if rng.gen::<f64>() < probability {
-                // Depolarizing channel: apply X, Y or Z with equal probability.
                 let pauli = match rng.gen_range(0..3) {
                     0 => QuantumGate::X(qubit),
                     1 => QuantumGate::Y(qubit),
@@ -306,23 +228,41 @@ impl NoisySimulator {
             }
         }
     }
+}
 
-    fn measure_with_readout<R: Rng + ?Sized>(
-        &self,
-        state: &Statevector,
-        num_qubits: usize,
-        rng: &mut R,
-    ) -> usize {
-        let mut outcome = state.sample(rng);
-        // Readout errors: flip each measured bit independently.
-        if self.model.readout_error > 0.0 {
-            for qubit in 0..num_qubits {
-                if rng.gen::<f64>() < self.model.readout_error {
-                    outcome ^= 1usize << qubit;
-                }
-            }
+/// A circuit prepared for noisy replay: its plan with one record per gate,
+/// each gate's qubits and arity class for the depolarizing channel, and the
+/// SoA state the shots reuse.
+struct Replay {
+    plan: ExecPlan,
+    gates: Vec<(Vec<usize>, bool)>,
+    state: SoaStatevector,
+}
+
+impl Replay {
+    /// Compiles `circuit` for replay, checking the register size before
+    /// anything of size `2^n` is allocated.
+    fn new(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError> {
+        let num_qubits = circuit.num_qubits();
+        if num_qubits > MAX_SIMULATOR_QUBITS {
+            return Err(QuantumError::TooManyQubits {
+                requested: num_qubits,
+                maximum: MAX_SIMULATOR_QUBITS,
+            });
         }
-        outcome
+        // Pair fusion off keeps the records 1:1 with the gates, so the noise
+        // channels interleave between them.
+        let plan = ExecPlan::from_program(
+            &FusedProgram::lower(circuit),
+            &config.with_pair_fusion(false),
+        );
+        let gates: Vec<(Vec<usize>, bool)> = circuit
+            .iter()
+            .map(|gate| (gate.qubits(), gate.arity() == 1))
+            .collect();
+        debug_assert_eq!(plan.num_records(), gates.len());
+        let state = SoaStatevector::zero_state(num_qubits, plan.block_bits());
+        Ok(Self { plan, gates, state })
     }
 }
 
@@ -473,6 +413,46 @@ mod tests {
         assert!((averaged[0].0 - 0.5).abs() < 1e-12);
         assert!(averaged[0].1 > 0.0);
         assert!(average_runs(&[]).is_empty());
+    }
+
+    #[test]
+    fn oversized_circuits_are_rejected_before_any_allocation() {
+        // 2^70 does not fit a usize: the limit check must come first.
+        let simulator = NoisySimulator::new(NoiseModel::ibm_qx_2017());
+        let circuit = QuantumCircuit::new(70);
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(matches!(
+            simulator.run(&circuit, 16, &mut rng),
+            Err(QuantumError::TooManyQubits { requested: 70, .. })
+        ));
+        assert!(matches!(
+            simulator.run_single_shot(&circuit, &mut rng),
+            Err(QuantumError::TooManyQubits { requested: 70, .. })
+        ));
+    }
+
+    #[test]
+    fn single_shots_replay_like_one_shot_runs() {
+        // Same seed, same circuit: run_single_shot must draw exactly what a
+        // one-shot run records, noise and readout included.
+        let model = NoiseModel::new(0.2, 0.3, 0.1).unwrap();
+        for block_bits in [0usize, 1] {
+            let simulator = NoisySimulator::with_config(
+                model,
+                ExecConfig::sequential().with_block_bits(block_bits),
+            );
+            for seed in 0..32u64 {
+                let circuit = ghz(3);
+                let single = simulator
+                    .run_single_shot(&circuit, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
+                let histogram = simulator
+                    .run(&circuit, 1, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
+                assert_eq!(histogram.iter().sum::<usize>(), 1);
+                assert_eq!(histogram[single], 1, "seed {seed}, block_bits {block_bits}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The execution-plan kernel: a GPU-shaped dispatch-record program over a
 //! struct-of-arrays amplitude state.
 //!
-//! This module is the production dense execution layer (enabled by
-//! [`ExecConfig::plan`], the default). Where the legacy
-//! [`FusedProgram::apply`] path walks `Vec<Complex>` one op at a time —
-//! spawning a fresh `thread::scope` per op — the plan interpreter lowers a
-//! [`FusedProgram`] into an [`ExecPlan`]:
+//! This module is the one dense executor of the workspace: every
+//! [`Statevector`](crate::statevector::Statevector) evolution, the
+//! Monte-Carlo noisy simulator and every dense backend run circuits through
+//! it. A circuit is fused into a [`FusedProgram`] (the lowering IR) and then
+//! lowered into an [`ExecPlan`]:
 //!
 //! * a **flat array of uniform [`DispatchRecord`]s** (op kind, bit-mask
 //!   operands, matrix-pool slot) plus one flat `f64` matrix pool. Every
@@ -27,22 +27,20 @@
 //! * a **persistent worker pool**: `ExecPlan::apply` spawns one
 //!   `thread::scope` for the whole program. Workers receive owned amplitude
 //!   blocks over a channel, apply whole runs (or cross-block pair/quad
-//!   records — including the Mcx/Swap permutation sweeps, which the legacy
-//!   path hard-codes sequentially) and send the blocks back; no per-op
-//!   spawning, and no `unsafe`.
+//!   records, including the Mcx/Swap permutation sweeps) and send the
+//!   blocks back; no per-op spawning, and no `unsafe`.
 //!
 //! Correctness is established differentially (`tests/plan_differential.rs`):
 //! amplitudes match the [`DenseReference`](crate::reference::DenseReference)
-//! oracle and the legacy fused path at 1e-10 on random circuits over every
-//! gate kind, and with `pair_fusion` disabled the interpreter reproduces the
-//! legacy path *bit for bit* at every thread count (the per-element
-//! arithmetic is association-identical and independent of the block and
-//! thread partition).
+//! oracle at 1e-10 on random circuits over every gate kind, record by
+//! record as well as end to end, and with `pair_fusion` disabled the
+//! interpreter is bit-identical across block sizes and thread counts (the
+//! per-element arithmetic is independent of the block and thread
+//! partition).
 
 use crate::circuit::QuantumCircuit;
 use crate::complex::Complex;
 use crate::fusion::{ExecConfig, FusedOp, FusedProgram};
-use crate::kernel;
 use qdaflow_telemetry as telemetry;
 use std::ops::Range;
 use std::sync::mpsc;
@@ -58,6 +56,45 @@ use std::time::Instant;
 /// and degrades past `2^17`; `13` sits at the low end of the plateau so
 /// smaller hosts keep the same behaviour.
 pub const DEFAULT_BLOCK_BITS: usize = 13;
+
+/// Number of qubits represented by an amplitude slice.
+///
+/// # Panics
+///
+/// Panics if the length is not a power of two.
+fn num_qubits_of(amplitudes: &[Complex]) -> usize {
+    assert!(
+        amplitudes.len().is_power_of_two(),
+        "amplitude slice length {} is not a power of two",
+        amplitudes.len()
+    );
+    amplitudes.len().trailing_zeros() as usize
+}
+
+/// Widens `index` by one bit at position `bit` (a power of two): every bit at
+/// or above the position shifts up, and the freed position is set to `value`.
+///
+/// Iterating a compact counter through `insert_bit` enumerates exactly the
+/// subspace of basis states with a fixed value at `bit`, which is how the
+/// permutation sweeps skip the half (or smaller) of the index space a
+/// record never touches.
+fn insert_bit(index: usize, bit: usize, value: bool) -> usize {
+    let below = bit - 1;
+    ((index & !below) << 1) | (index & below) | if value { bit } else { 0 }
+}
+
+/// The bit values (powers of two) present in `mask`, in ascending order —
+/// the order in which [`insert_bit`] expansions must be applied.
+fn mask_bit_values(mask: usize) -> Vec<usize> {
+    let mut positions = Vec::with_capacity(mask.count_ones() as usize);
+    let mut rest = mask;
+    while rest != 0 {
+        let bit = rest & rest.wrapping_neg();
+        positions.push(bit);
+        rest ^= bit;
+    }
+    positions
+}
 
 /// Sweep statistics of the plan interpreter, registered once in the
 /// process-wide [`telemetry::global_metrics`] registry.
@@ -210,7 +247,7 @@ impl SoaStatevector {
     ///
     /// Panics if the slice length is not a power of two.
     pub fn from_amplitudes(amplitudes: &[Complex], block_bits: usize) -> Self {
-        let num_qubits = kernel::num_qubits_of(amplitudes);
+        let num_qubits = num_qubits_of(amplitudes);
         let block_bits = block_bits.min(num_qubits);
         let block_len = 1usize << block_bits;
         let blocks = amplitudes
@@ -290,11 +327,27 @@ impl SoaStatevector {
 
     /// Resets the state to `|0...0⟩` in place, reusing the allocations.
     pub fn reset(&mut self) {
+        self.reset_to_basis(0);
+    }
+
+    /// Resets the state to the computational basis state `|basis⟩` in
+    /// place, reusing the allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `basis >= 2^num_qubits`.
+    pub fn reset_to_basis(&mut self, basis: usize) {
+        assert!(
+            basis >> self.num_qubits == 0,
+            "basis state {basis} out of range for a {}-qubit register",
+            self.num_qubits
+        );
         for block in &mut self.blocks {
             block.re.fill(0.0);
             block.im.fill(0.0);
         }
-        self.blocks[0].re[0] = 1.0;
+        let local = basis & ((1usize << self.block_bits) - 1);
+        self.blocks[basis >> self.block_bits].re[local] = 1.0;
     }
 
     /// Samples a measurement of all qubits by the same early-exiting linear
@@ -317,14 +370,25 @@ impl SoaStatevector {
         (self.blocks.len() - 1) * block_len + block_len - 1
     }
 
-    /// Applies one kernel op in place, sequentially, with arithmetic
-    /// identical to the legacy [`fusion::apply_op`](crate::fusion::apply_op)
-    /// path (used by the noisy simulator's stochastic Pauli insertions).
+    /// Applies one op in place, sequentially, through the same record
+    /// interpreter a compiled plan uses (the noisy simulator's stochastic
+    /// Pauli insertions go through here).
     ///
     /// # Panics
     ///
     /// Panics if the op references a qubit outside the register.
     pub fn apply_fused_op(&mut self, op: &FusedOp) {
+        let n = self.num_qubits;
+        let in_range = match op {
+            FusedOp::Dense { qubit, .. } => *qubit < n,
+            FusedOp::Phase { mask, .. } => mask >> n == 0,
+            FusedOp::Mcx {
+                control_mask,
+                target,
+            } => *target < n && control_mask >> n == 0,
+            FusedOp::Swap { a, b } => *a < n && *b < n,
+        };
+        assert!(in_range, "{op:?} out of range for a {n}-qubit register");
         let record = lower_single(op);
         let pool = single_op_pool(op);
         apply_global_sequential(&record, &pool, self);
@@ -554,7 +618,7 @@ fn is_local(op: &Lowered, block_len: usize) -> bool {
 /// Circuits interleave low- and high-qubit gates freely, which chops the
 /// scheduler's cache-block runs into fragments — every fragment then costs
 /// a full memory sweep and the register is re-streamed from DRAM once per
-/// op, exactly like the legacy path. Clustering restores long local runs
+/// op. Clustering restores long local runs
 /// (one sweep applies the whole run per block) and packs the global ops
 /// side by side where the 4×4 batcher can merge high-qubit pairs into
 /// single cross-block passes. Reordering commuting ops is exact in exact
@@ -761,10 +825,10 @@ impl ExecPlan {
     /// # Panics
     ///
     /// Panics if the slice is shorter than the plan's register (extra qubits
-    /// are spectators, as in the legacy path).
+    /// are spectators).
     pub fn apply(&self, amplitudes: &mut [Complex], config: &ExecConfig) {
         assert!(
-            kernel::num_qubits_of(amplitudes) >= self.num_qubits,
+            num_qubits_of(amplitudes) >= self.num_qubits,
             "a {}-qubit plan cannot run on {} amplitudes",
             self.num_qubits,
             amplitudes.len()
@@ -1362,12 +1426,12 @@ fn apply_pair(
         }
         OpKind::Mcx => {
             let controls_low = (record.arg0 & (block_len - 1)) as usize;
-            let positions = kernel::mask_bit_values(controls_low);
+            let positions = mask_bit_values(controls_low);
             let count = a.re.len() >> positions.len();
             for compact in 0..count {
                 let mut index = compact;
                 for &bit in &positions {
-                    index = kernel::insert_bit(index, bit, true);
+                    index = insert_bit(index, bit, true);
                 }
                 std::mem::swap(&mut a.re[index], &mut b.re[index]);
                 std::mem::swap(&mut a.im[index], &mut b.im[index]);
@@ -1378,7 +1442,7 @@ fn apply_pair(
             // (a=1, b_high=0) ↔ (a=0, b_high=1).
             let bit_a = record.arg0 as usize;
             for compact in 0..a.re.len() / 2 {
-                let index = kernel::insert_bit(compact, bit_a, true);
+                let index = insert_bit(compact, bit_a, true);
                 let partner = index ^ bit_a;
                 std::mem::swap(&mut a.re[index], &mut b.re[partner]);
                 std::mem::swap(&mut a.im[index], &mut b.im[partner]);
@@ -1481,9 +1545,9 @@ fn matrix4(pool: &[f64], slot: u32) -> &[f64; 32] {
 }
 
 /// The vectorizable core of every dense 2×2 application: paired low/high
-/// component rows of equal length. The multiply-add association matches the
-/// legacy `matrix[0][0] * a + matrix[0][1] * b` complex arithmetic exactly,
-/// so the SoA path is bit-identical to the legacy path per element.
+/// component rows of equal length. Each element gets the fixed association
+/// of the complex product `matrix[0][0] * a + matrix[0][1] * b`, whatever
+/// block or worker it lands on, so results do not depend on the partition.
 fn dense1_rows(
     low_re: &mut [f64],
     low_im: &mut [f64],
@@ -1683,8 +1747,8 @@ fn phase_all(re: &mut [f64], im: &mut [f64], phase_re: f64, phase_im: f64) {
 /// `2·bit` chunk, so the innermost sweeps are contiguous [`phase_all`] runs
 /// of the mask's lowest bit value — strided streaming instead of per-index
 /// bit insertion. Each matching amplitude is multiplied exactly once with
-/// the same arithmetic as before, so results are bit-identical to the
-/// legacy enumeration order.
+/// the [`phase_all`] arithmetic, so results are bit-identical to a
+/// per-index enumeration of the subspace.
 fn phase_masked(re: &mut [f64], im: &mut [f64], mask: usize, phase_re: f64, phase_im: f64) {
     if mask == 0 {
         phase_all(re, im, phase_re, phase_im);
@@ -1719,22 +1783,25 @@ fn phase_masked(re: &mut [f64], im: &mut [f64], mask: usize, phase_re: f64, phas
 }
 
 /// In-block MCX: swaps across the target bit where the (block-local)
-/// controls are satisfied (mirrors the legacy `mcx_masked`).
+/// controls are satisfied. Enumerates exactly the swap sources (every
+/// control bit set, the target bit clear) by expanding a compact counter
+/// through the fixed bit positions.
 fn mcx_block(re: &mut [f64], im: &mut [f64], control_mask: usize, target_bit: usize) {
     let fixed = control_mask | target_bit;
     let free_bits = re.len().trailing_zeros() as usize - fixed.count_ones() as usize;
-    let positions = kernel::mask_bit_values(fixed);
+    let positions = mask_bit_values(fixed);
     for compact in 0..1usize << free_bits {
         let mut index = compact;
         for &bit in &positions {
-            index = kernel::insert_bit(index, bit, bit != target_bit);
+            index = insert_bit(index, bit, bit != target_bit);
         }
         re.swap(index, index | target_bit);
         im.swap(index, index | target_bit);
     }
 }
 
-/// In-block SWAP of two low qubits (mirrors the legacy `swap_masked`).
+/// In-block SWAP of two low qubits: enumerates only the `a=1, b=0`
+/// amplitudes and exchanges each with its `a=0, b=1` partner.
 fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
     if bit_a == bit_b {
         return;
@@ -1742,8 +1809,7 @@ fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
     let low = bit_a.min(bit_b);
     let high = bit_a.max(bit_b);
     for compact in 0..re.len() / 4 {
-        let index =
-            kernel::insert_bit(kernel::insert_bit(compact, low, false), high, false) | bit_a;
+        let index = insert_bit(insert_bit(compact, low, false), high, false) | bit_a;
         re.swap(index, index ^ (bit_a | bit_b));
         im.swap(index, index ^ (bit_a | bit_b));
     }
@@ -1753,12 +1819,27 @@ fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
 mod tests {
     use super::*;
     use crate::gate::QuantumGate;
-    use crate::kernel;
+    use crate::reference::DenseReference;
 
     fn push_all(circuit: &mut QuantumCircuit, gates: impl IntoIterator<Item = QuantumGate>) {
         for gate in gates {
             circuit.push(gate).unwrap();
         }
+    }
+
+    /// One record per gate, in gate order: no fusion, no batching.
+    fn gate_by_gate() -> ExecConfig {
+        ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false)
+    }
+
+    /// A 5-qubit state whose amplitude `k` encodes `k`, so any misplaced
+    /// amplitude is visible.
+    fn distinguishable_state() -> Vec<Complex> {
+        (0..32usize)
+            .map(|k| Complex::new(k as f64 + 1.0, -(k as f64)))
+            .collect()
     }
 
     #[test]
@@ -1779,8 +1860,7 @@ mod tests {
                 QuantumGate::Swap { a: 3, b: 1 },
             ],
         );
-        let config = ExecConfig::baseline().with_pair_fusion(false);
-        let plan = ExecPlan::from_program(&FusedProgram::lower(&circuit), &config);
+        let plan = ExecPlan::from_program(&FusedProgram::lower(&circuit), &gate_by_gate());
         let records = plan.records();
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].kind, OpKind::Dense1);
@@ -1854,29 +1934,57 @@ mod tests {
         state.reset();
         assert_eq!(state.amplitude(0), Complex::ONE);
         assert!((state.norm() - 1.0).abs() < 1e-12);
+        // Any basis state, in whichever block it lives.
+        state.reset_to_basis(0b110);
+        assert_eq!(state.amplitude(0b110), Complex::ONE);
+        assert!((state.norm() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn ad_hoc_ops_match_the_kernel() {
-        // apply_fused_op (the noise path's entry point) against the scalar
-        // kernel, per gate class, on a non-trivial state and a 2-amp block
-        // size that forces the cross-block branches.
-        let gates = [
-            QuantumGate::X(2),
-            QuantumGate::Y(0),
-            QuantumGate::Z(1),
-            QuantumGate::H(2),
-            QuantumGate::S(0),
-        ];
-        let mut expected: Vec<Complex> = (0..8)
-            .map(|k| Complex::new(1.0 / (k as f64 + 1.0), 0.25 * k as f64))
-            .collect();
-        let mut state = SoaStatevector::from_amplitudes(&expected, 1);
-        for gate in gates {
-            kernel::apply_gate(&mut expected, &gate);
-            state.apply_fused_op(&FusedOp::from_gate(&gate));
+        // apply_fused_op (the noise path's entry point) against a compiled
+        // gate-by-gate plan of the same gates, per gate class, on a 2-amp
+        // block size that forces the cross-block branches: bit for bit, and
+        // both against the dense reference oracle.
+        let mut circuit = QuantumCircuit::new(3);
+        push_all(
+            &mut circuit,
+            [
+                QuantumGate::H(0),
+                QuantumGate::H(1),
+                QuantumGate::H(2),
+                QuantumGate::X(2),
+                QuantumGate::Y(0),
+                QuantumGate::Z(1),
+                QuantumGate::H(2),
+                QuantumGate::S(0),
+                QuantumGate::Cx {
+                    control: 2,
+                    target: 0,
+                },
+                QuantumGate::Cz { a: 0, b: 2 },
+                QuantumGate::Swap { a: 0, b: 2 },
+                QuantumGate::Ccx {
+                    control_a: 0,
+                    control_b: 1,
+                    target: 2,
+                },
+            ],
+        );
+        let mut ad_hoc = SoaStatevector::zero_state(3, 1);
+        for gate in &circuit {
+            ad_hoc.apply_fused_op(&FusedOp::from_gate(gate));
         }
-        assert_eq!(state.to_amplitudes(), expected);
+        let config = gate_by_gate().with_block_bits(1);
+        let plan = ExecPlan::compile(&circuit, &config);
+        let mut compiled = SoaStatevector::zero_state(3, plan.block_bits());
+        plan.apply_soa(&mut compiled, &config);
+        assert_eq!(ad_hoc, compiled);
+        let reference = DenseReference::from_circuit(&circuit).unwrap();
+        for (index, expected) in reference.amplitudes().iter().enumerate() {
+            let actual = ad_hoc.amplitude(index);
+            assert!(actual.approx_eq(*expected, 1e-12), "amplitude {index}");
+        }
     }
 
     #[test]
@@ -1921,5 +2029,167 @@ mod tests {
         let plan = ExecPlan::compile(&circuit, &config);
         let mut state = SoaStatevector::zero_state(3, 2);
         plan.apply_soa(&mut state, &config);
+    }
+
+    #[test]
+    fn diagonal_fast_path_matches_dense_application() {
+        // A diagonal gate lowers to a phase record on the |1⟩ subspace; the
+        // same gate as a full 2×2 dense record must give the same state.
+        let gates = [
+            QuantumGate::Z(1),
+            QuantumGate::S(0),
+            QuantumGate::Sdg(2),
+            QuantumGate::T(1),
+            QuantumGate::Tdg(0),
+            QuantumGate::Rz {
+                qubit: 2,
+                angle: 0.83,
+            },
+        ];
+        for gate in gates {
+            // Prepare an arbitrary superposition.
+            let mut fast = SoaStatevector::zero_state(3, 1);
+            for qubit in 0..3 {
+                fast.apply_fused_op(&FusedOp::from_gate(&QuantumGate::H(qubit)));
+            }
+            let mut dense = fast.clone();
+            let op = FusedOp::from_gate(&gate);
+            assert!(matches!(op, FusedOp::Phase { .. }), "{gate:?}");
+            fast.apply_fused_op(&op);
+            dense.apply_fused_op(&FusedOp::Dense {
+                qubit: gate.qubits()[0],
+                matrix: gate.single_qubit_matrix().unwrap(),
+            });
+            for (a, b) in fast.to_amplitudes().iter().zip(&dense.to_amplitudes()) {
+                assert!(a.approx_eq(*b, 1e-12), "{gate:?}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_applies_whole_circuits() {
+        let mut circuit = QuantumCircuit::new(2);
+        push_all(
+            &mut circuit,
+            [
+                QuantumGate::H(0),
+                QuantumGate::Cx {
+                    control: 0,
+                    target: 1,
+                },
+            ],
+        );
+        let mut amplitudes = vec![Complex::ZERO; 4];
+        amplitudes[0] = Complex::ONE;
+        let config = ExecConfig::sequential();
+        ExecPlan::compile(&circuit, &config).apply(&mut amplitudes, &config);
+        assert!((amplitudes[0b00].norm_sqr() - 0.5).abs() < 1e-12);
+        assert!((amplitudes[0b11].norm_sqr() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn half_space_mcx_matches_full_scan() {
+        // One block (in-block sweep) and 4-amplitude blocks (cross-block
+        // pairs and block permutations) against a full scan that re-tests
+        // every index.
+        for block_bits in [5usize, 2] {
+            for (control_mask, target) in [
+                (0usize, 0usize),
+                (0b100, 0),
+                (0b1001, 2),
+                (0b1011, 4),
+                (0b10000, 1),
+            ] {
+                let mut slow = distinguishable_state();
+                let mut fast = SoaStatevector::from_amplitudes(&slow, block_bits);
+                fast.apply_fused_op(&FusedOp::Mcx {
+                    control_mask,
+                    target,
+                });
+                let target_bit = 1usize << target;
+                for index in 0..slow.len() {
+                    if index & control_mask == control_mask && index & target_bit == 0 {
+                        slow.swap(index, index | target_bit);
+                    }
+                }
+                assert_eq!(
+                    fast.to_amplitudes(),
+                    slow,
+                    "block_bits {block_bits} controls {control_mask:#b} target {target}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn control_overlapping_target_is_a_no_op() {
+        // "Control set, target clear" on one qubit can never hold: the
+        // record must leave the state alone, in-block and across blocks.
+        for block_bits in [3usize, 1] {
+            let amplitudes: Vec<Complex> = (0..8).map(|k| Complex::new(k as f64, 0.0)).collect();
+            let mut state = SoaStatevector::from_amplitudes(&amplitudes, block_bits);
+            state.apply_fused_op(&FusedOp::Mcx {
+                control_mask: 0b100,
+                target: 2,
+            });
+            state.apply_fused_op(&FusedOp::Mcx {
+                control_mask: 0b001,
+                target: 0,
+            });
+            assert_eq!(state.to_amplitudes(), amplitudes, "block_bits {block_bits}");
+        }
+    }
+
+    #[test]
+    fn half_space_swap_matches_full_scan() {
+        // Both qubits in-block, one across, and both across.
+        for block_bits in [5usize, 2, 0] {
+            for (a, b) in [(1usize, 4usize), (4, 1), (0, 3)] {
+                let mut slow = distinguishable_state();
+                let mut fast = SoaStatevector::from_amplitudes(&slow, block_bits);
+                fast.apply_fused_op(&FusedOp::Swap { a, b });
+                let (bit_a, bit_b) = (1usize << a, 1usize << b);
+                for index in 0..slow.len() {
+                    if index & bit_a != 0 && index & bit_b == 0 {
+                        slow.swap(index, (index & !bit_a) | bit_b);
+                    }
+                }
+                assert_eq!(
+                    fast.to_amplitudes(),
+                    slow,
+                    "block_bits {block_bits} swap {a} {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn insert_bit_enumerates_fixed_subspaces() {
+        // Expanding 0..4 over bit 1 (set) lists indices with bit 1 set.
+        let expanded: Vec<usize> = (0..4).map(|k| insert_bit(k, 0b10, true)).collect();
+        assert_eq!(expanded, vec![0b010, 0b011, 0b110, 0b111]);
+        assert_eq!(mask_bit_values(0b10110), vec![0b10, 0b100, 0b10000]);
+    }
+
+    #[test]
+    fn num_qubits_is_log2_of_length() {
+        assert_eq!(num_qubits_of(&[Complex::ONE]), 0);
+        assert_eq!(num_qubits_of(&[Complex::ZERO; 16]), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_qubit_panics() {
+        let mut state = SoaStatevector::zero_state(2, 1);
+        state.apply_fused_op(&FusedOp::Mcx {
+            control_mask: 0b1,
+            target: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_slice_panics() {
+        let _ = num_qubits_of(&[Complex::ONE; 3]);
     }
 }

@@ -4,11 +4,12 @@
 //! application: for each basis state it accumulates the gate's column action
 //! into a freshly allocated output vector, with **no** diagonal fast path,
 //! no in-place pair tricks, no fusion and no threading. Its implementation
-//! shares nothing with the optimized [`kernel`](crate::kernel)/
-//! [`fusion`](crate::fusion) execution layer, which is exactly what makes it
-//! a useful differential-testing oracle: the property suites in
-//! `tests/differential.rs` compare the fused, parallel simulator against it
-//! amplitude-for-amplitude on random circuits.
+//! shares nothing with the [`ExecPlan`](crate::plan::ExecPlan) interpreter
+//! (the one production dense executor), which is exactly what makes it a
+//! useful differential-testing oracle: the property suites in
+//! `tests/plan_differential.rs` compare the plan interpreter against it
+//! amplitude for amplitude on random circuits, end to end and record by
+//! record.
 //!
 //! The same pattern — an optimized production simulator paired with a
 //! trivially-auditable reference implementation — is used by the large
@@ -312,11 +313,21 @@ mod tests {
             circuit.push(gate).unwrap();
         }
         let reference = DenseReference::from_circuit(&circuit).unwrap();
-        let mut kernel_state = vec![Complex::ZERO; 16];
-        kernel_state[0] = Complex::ONE;
-        crate::kernel::apply_circuit(&mut kernel_state, &circuit);
-        for (index, (a, b)) in reference.amplitudes().iter().zip(&kernel_state).enumerate() {
-            assert!(a.approx_eq(*b, 1e-12), "amplitude {index}: {a:?} vs {b:?}");
+        // The plan kernel in its production configuration, and gate by gate
+        // (one record per gate, so no gate class hides inside a merge).
+        let gate_by_gate = crate::fusion::ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false);
+        for config in [crate::fusion::ExecConfig::sequential(), gate_by_gate] {
+            let state = crate::statevector::Statevector::run(&circuit, &config).unwrap();
+            for (index, (a, b)) in reference
+                .amplitudes()
+                .iter()
+                .zip(state.amplitudes())
+                .enumerate()
+            {
+                assert!(a.approx_eq(*b, 1e-12), "amplitude {index}: {a:?} vs {b:?}");
+            }
         }
     }
 

@@ -2,12 +2,12 @@
 //!
 //! The statevector simulator is the "local simulator" backend of the paper's
 //! ProjectQ flow and the reference against which the noisy backend and the
-//! compiled circuits are validated. It stores all `2^n` complex amplitudes
-//! and applies gates in place.
+//! compiled circuits are validated. It stores all `2^n` complex amplitudes;
+//! every gate it applies runs through the [`ExecPlan`] interpreter, the one
+//! dense executor of the workspace.
 
 use crate::complex::Complex;
-use crate::fusion::{ExecConfig, FusedProgram};
-use crate::kernel;
+use crate::fusion::ExecConfig;
 use crate::plan::{ExecPlan, SoaStatevector};
 use crate::sampling::CumulativeDistribution;
 use crate::{QuantumCircuit, QuantumError, QuantumGate, MAX_SIMULATOR_QUBITS};
@@ -62,7 +62,7 @@ impl Statevector {
     }
 
     /// Runs a full circuit on the all-zeros state and returns the resulting
-    /// state, executing through the default fused execution layer.
+    /// state, under the default execution configuration.
     ///
     /// # Errors
     ///
@@ -72,36 +72,27 @@ impl Statevector {
     }
 
     /// Runs a full circuit on the all-zeros state with an explicit execution
-    /// configuration: the circuit is compiled to a
-    /// [`FusedProgram`] and applied with the
-    /// configured fusion/threading settings.
+    /// configuration: the circuit compiles to an [`ExecPlan`] that sweeps a
+    /// blocked SoA zero state, converted to the interleaved layout once at
+    /// the end.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::TooManyQubits`] for oversized circuits.
     pub fn run(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError> {
-        if config.plan {
-            // Plan fast path: start from a blocked SoA zero state and
-            // convert to the interleaved layout once at the end, instead of
-            // allocating an interleaved zero register only to split it into
-            // SoA and merge it back (two extra full-register passes).
-            if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
-                return Err(QuantumError::TooManyQubits {
-                    requested: circuit.num_qubits(),
-                    maximum: MAX_SIMULATOR_QUBITS,
-                });
-            }
-            let plan = ExecPlan::compile(circuit, config);
-            let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
-            plan.apply_soa(&mut state, config);
-            return Ok(Self {
-                num_qubits: circuit.num_qubits(),
-                amplitudes: state.to_amplitudes(),
+        if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
+            return Err(QuantumError::TooManyQubits {
+                requested: circuit.num_qubits(),
+                maximum: MAX_SIMULATOR_QUBITS,
             });
         }
-        let mut state = Self::new(circuit.num_qubits())?;
-        state.apply_circuit_with(circuit, config);
-        Ok(state)
+        let plan = ExecPlan::compile(circuit, config);
+        let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
+        plan.apply_soa(&mut state, config);
+        Ok(Self {
+            num_qubits: circuit.num_qubits(),
+            amplitudes: state.to_amplitudes(),
+        })
     }
 
     /// Number of qubits.
@@ -121,13 +112,6 @@ impl Statevector {
     /// All amplitudes in basis order.
     pub fn amplitudes(&self) -> &[Complex] {
         &self.amplitudes
-    }
-
-    /// Mutable access to the raw amplitudes, for callers that drive the
-    /// kernel or the fused execution layer directly (e.g. the noisy
-    /// simulator's per-shot loop). Callers must preserve normalization.
-    pub fn amplitudes_mut(&mut self) -> &mut [Complex] {
-        &mut self.amplitudes
     }
 
     /// The probability of measuring each basis state.
@@ -175,19 +159,23 @@ impl Statevector {
         self.inner_product(other).norm_sqr()
     }
 
-    /// Applies a single gate in place through the shared
-    /// [`kernel`] dispatch.
+    /// Applies a single gate in place, as a one-gate circuit through the
+    /// [`ExecPlan`] interpreter.
     ///
     /// # Panics
     ///
     /// Panics if the gate references qubits outside of the register; circuits
     /// built through [`QuantumCircuit::push`] can never trigger this.
     pub fn apply_gate(&mut self, gate: &QuantumGate) {
-        kernel::apply_gate(&mut self.amplitudes, gate);
+        let mut circuit = QuantumCircuit::new(self.num_qubits);
+        if let Err(error) = circuit.push(gate.clone()) {
+            panic!("{error}");
+        }
+        self.apply_circuit_with(&circuit, &ExecConfig::sequential());
     }
 
-    /// Applies every gate of a circuit in order through the default fused
-    /// execution layer.
+    /// Applies every gate of a circuit in order under the default execution
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -196,10 +184,8 @@ impl Statevector {
         self.apply_circuit_with(circuit, &ExecConfig::default());
     }
 
-    /// Applies every gate of a circuit with an explicit execution
-    /// configuration: through the [`ExecPlan`] SoA interpreter when
-    /// `config.plan` is set (the default), or the legacy interleaved
-    /// [`FusedProgram`] path otherwise.
+    /// Applies every gate of a circuit through the [`ExecPlan`] SoA
+    /// interpreter with an explicit execution configuration.
     ///
     /// # Panics
     ///
@@ -211,11 +197,7 @@ impl Statevector {
             circuit.num_qubits(),
             self.num_qubits
         );
-        if config.plan {
-            ExecPlan::compile(circuit, config).apply(&mut self.amplitudes, config);
-        } else {
-            FusedProgram::compile(circuit, config).apply(&mut self.amplitudes, config);
-        }
+        ExecPlan::compile(circuit, config).apply(&mut self.amplitudes, config);
     }
 
     /// The precomputed cumulative measurement distribution of this state,
@@ -331,6 +313,13 @@ mod tests {
             Statevector::new(MAX_SIMULATOR_QUBITS + 1),
             Err(QuantumError::TooManyQubits { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_gate_panics() {
+        let mut state = Statevector::new(2).unwrap();
+        state.apply_gate(&QuantumGate::H(2));
     }
 
     #[test]

@@ -1,140 +1,110 @@
-//! Differential property tests for the `ExecPlan` SoA interpreter.
+//! Differential property tests for the `ExecPlan` SoA interpreter, the one
+//! dense executor, against the naive [`DenseReference`] oracle.
 //!
-//! Random 2–10 qubit circuits over every gate kind of the IR are executed
-//! through the plan interpreter and compared against two independent
-//! implementations:
+//! Random 2–10 qubit circuits over every gate kind of the IR (Toffoli, MCX,
+//! MCZ, SWAP and π/4-step rotations mixed in) run through the plan
+//! interpreter and through the oracle. The two share no code — the plan
+//! sweeps split re/im blocks record by record, the oracle accumulates
+//! columns out of place — so agreement on every random circuit is strong
+//! evidence that neither is wrong. The suites check:
 //!
-//! * the naive [`DenseReference`] oracle, amplitude-for-amplitude at 1e-10
-//!   (suites 1–2, including forced multi-block + worker-pool configs that
-//!   exercise the cross-block pair/quad dispatch paths on tiny registers);
-//! * the legacy interleaved fused path, **bit for bit** with 4×4 batching
-//!   disabled (suite 3) — the SoA sweeps use the same multiply-add
-//!   association as the legacy complex arithmetic, so the two paths must
-//!   agree exactly, not just approximately;
-//! * itself across thread counts (suite 4): amplitudes and sampled
-//!   histograms are bit-identical at 1, 2, 4 and 8 threads, and the
-//!   histograms match the legacy path's — the reproducibility contract the
-//!   batch subsystem relies on;
-//! * the noisy simulator's plan replay against its legacy replay (suite 5):
-//!   identical RNG streams, bit-identical histograms.
+//! * suite 1: amplitudes within 1e-10 of the oracle, and the norm kept,
+//!   under the production configuration and the one-record-per-gate
+//!   lowering (the forced-threads, fusion-off and auto-with-threads
+//!   configurations have a suite each in `differential.rs`);
+//! * suite 2: the same with tiny cache blocks (4 amplitudes) and the worker
+//!   pool forced on, which drives the cross-block pair/quad/permute
+//!   dispatch on tiny registers;
+//! * suite 3: a record-by-record replay — one record per gate, and after
+//!   every record the state matches the oracle after the same gate, at
+//!   1e-10 and at several block sizes;
+//! * suite 4: bit-identical amplitudes and sampled histograms at 1, 2, 4
+//!   and 8 threads and block sizes auto/4/8 amplitudes (4×4 batching off) —
+//!   the reproducibility contract the batch subsystem relies on;
+//! * suite 5: the noisy simulator's plan replay against a noisy replay on
+//!   the oracle that draws the same RNG stream: identical histograms.
 
+mod common;
+
+use common::{assert_matches_reference, random_circuit, TOLERANCE};
 use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::noise::{NoiseModel, NoisySimulator};
+use qdaflow_quantum::plan::{ExecPlan, SoaStatevector};
 use qdaflow_quantum::reference::DenseReference;
 use qdaflow_quantum::{QuantumCircuit, QuantumGate, Statevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Amplitude agreement tolerance against the dense reference.
-const TOLERANCE: f64 = 1e-10;
-
-/// Builds a random circuit over 2..=10 qubits from a seed, covering every
-/// gate kind of the Clifford+T IR (same generator shape as
-/// `tests/differential.rs`, two qubits wider).
-fn random_circuit(seed: u64) -> QuantumCircuit {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let num_qubits = rng.gen_range(2..11usize);
-    let num_gates = rng.gen_range(1..41usize);
-    let mut circuit = QuantumCircuit::new(num_qubits);
-    for _ in 0..num_gates {
-        let qubit = rng.gen_range(0..num_qubits);
-        let gate = match rng.gen_range(0..15u32) {
-            0 => QuantumGate::H(qubit),
-            1 => QuantumGate::X(qubit),
-            2 => QuantumGate::Y(qubit),
-            3 => QuantumGate::Z(qubit),
-            4 => QuantumGate::S(qubit),
-            5 => QuantumGate::Sdg(qubit),
-            6 => QuantumGate::T(qubit),
-            7 => QuantumGate::Tdg(qubit),
-            8 => QuantumGate::Rz {
-                qubit,
-                angle: f64::from(rng.gen_range(0..16u32)) * std::f64::consts::FRAC_PI_4,
-            },
-            9 => {
-                let target = distinct(&mut rng, num_qubits, &[qubit]);
-                QuantumGate::Cx {
-                    control: qubit,
-                    target,
-                }
-            }
-            10 => {
-                let b = distinct(&mut rng, num_qubits, &[qubit]);
-                QuantumGate::Cz { a: qubit, b }
-            }
-            11 => {
-                let b = distinct(&mut rng, num_qubits, &[qubit]);
-                QuantumGate::Swap { a: qubit, b }
-            }
-            12 if num_qubits >= 3 => {
-                let control_b = distinct(&mut rng, num_qubits, &[qubit]);
-                let target = distinct(&mut rng, num_qubits, &[qubit, control_b]);
-                QuantumGate::Ccx {
-                    control_a: qubit,
-                    control_b,
-                    target,
-                }
-            }
-            13 if num_qubits >= 4 => {
-                let c2 = distinct(&mut rng, num_qubits, &[qubit]);
-                let c3 = distinct(&mut rng, num_qubits, &[qubit, c2]);
-                let target = distinct(&mut rng, num_qubits, &[qubit, c2, c3]);
-                QuantumGate::Mcx {
-                    controls: vec![qubit, c2, c3],
-                    target,
-                }
-            }
-            14 if num_qubits >= 3 => {
-                let b = distinct(&mut rng, num_qubits, &[qubit]);
-                let c = distinct(&mut rng, num_qubits, &[qubit, b]);
-                QuantumGate::Mcz {
-                    qubits: vec![qubit, b, c],
-                }
-            }
-            _ => QuantumGate::H(qubit),
-        };
-        circuit.push(gate).expect("generated gates are in range");
-    }
-    circuit
+/// One plan record per gate, in gate order.
+fn gate_by_gate() -> ExecConfig {
+    ExecConfig::sequential()
+        .with_fusion(false)
+        .with_pair_fusion(false)
 }
 
-/// Draws a qubit distinct from the ones already used.
-fn distinct(rng: &mut StdRng, num_qubits: usize, used: &[usize]) -> usize {
-    loop {
-        let candidate = rng.gen_range(0..num_qubits);
-        if !used.contains(&candidate) {
-            return candidate;
+/// Noisy shots on the oracle, drawing the RNG stream the noise model
+/// defines: per gate, one draw per qubit against the gate class's
+/// depolarizing probability (and one Pauli choice per error); per shot,
+/// one measurement draw and one readout draw per qubit.
+fn reference_noisy_run(
+    circuit: &QuantumCircuit,
+    model: &NoiseModel,
+    shots: usize,
+    rng: &mut StdRng,
+) -> Vec<usize> {
+    let num_qubits = circuit.num_qubits();
+    let mut histogram = vec![0usize; 1 << num_qubits];
+    for _ in 0..shots {
+        let mut state = DenseReference::new(num_qubits).expect("small register");
+        for gate in circuit {
+            state.apply_gate(gate);
+            let probability = if gate.arity() == 1 {
+                model.single_qubit_depolarizing
+            } else {
+                model.two_qubit_depolarizing
+            };
+            if probability == 0.0 {
+                continue;
+            }
+            for qubit in gate.qubits() {
+                if rng.gen::<f64>() < probability {
+                    let pauli = match rng.gen_range(0..3) {
+                        0 => QuantumGate::X(qubit),
+                        1 => QuantumGate::Y(qubit),
+                        _ => QuantumGate::Z(qubit),
+                    };
+                    state.apply_gate(&pauli);
+                }
+            }
         }
+        let mut outcome = state.sample(rng);
+        if model.readout_error > 0.0 {
+            for qubit in 0..num_qubits {
+                if rng.gen::<f64>() < model.readout_error {
+                    outcome ^= 1usize << qubit;
+                }
+            }
+        }
+        histogram[outcome] += 1;
     }
-}
-
-fn assert_matches_reference(circuit: &QuantumCircuit, config: &ExecConfig) {
-    let reference = DenseReference::from_circuit(circuit).expect("small register");
-    let optimized = Statevector::run(circuit, config).expect("small register");
-    for (index, (a, b)) in optimized
-        .amplitudes()
-        .iter()
-        .zip(reference.amplitudes())
-        .enumerate()
-    {
-        assert!(
-            a.approx_eq(*b, TOLERANCE),
-            "amplitude {index} diverges: plan {a:?} vs reference {b:?}\ncircuit:\n{circuit}"
-        );
-    }
+    histogram
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Suite 1: the plan interpreter in its production configuration (4×4
-    /// batching on, auto block size — one block for these registers) is
-    /// amplitude-exact against the dense reference oracle.
+    /// Suite 1: the plan interpreter is amplitude-exact against the dense
+    /// reference oracle and keeps the norm, under the production
+    /// configuration (auto threads, 4×4 batching on, auto block size — one
+    /// block for these registers) and with one record per gate, in gate
+    /// order.
     #[test]
     fn plan_kernel_matches_dense_reference(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        assert_matches_reference(&circuit, &ExecConfig::sequential());
+        for config in [ExecConfig::default(), gate_by_gate()] {
+            assert_matches_reference(&circuit, &config);
+        }
     }
 
     /// Suite 2: tiny cache blocks (4 amplitudes) force the cross-block
@@ -150,62 +120,64 @@ proptest! {
         assert_matches_reference(&circuit, &config);
     }
 
-    /// Suite 3: with 4×4 batching disabled the plan path and the legacy
-    /// interleaved path perform element-for-element identical arithmetic —
-    /// the amplitudes must agree bit for bit, across block sizes.
+    /// Suite 3: a record-by-record replay against the oracle. Without
+    /// fusion and batching the plan holds one record per gate, in gate
+    /// order; after each record the state must match the oracle after the
+    /// same gate, so a wrong record is caught at the gate that produced it.
     #[test]
-    fn plan_is_bit_identical_to_legacy_path(seed in any::<u64>()) {
+    fn plan_replays_record_by_record_against_dense_reference(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        let legacy = Statevector::run(
-            &circuit,
-            &ExecConfig::sequential().with_plan(false),
-        ).expect("small register");
         for block_bits in [0usize, 2, 3] {
-            let plan = Statevector::run(
-                &circuit,
-                &ExecConfig::sequential()
-                    .with_pair_fusion(false)
-                    .with_block_bits(block_bits),
-            ).expect("small register");
-            prop_assert_eq!(
-                plan.amplitudes(),
-                legacy.amplitudes(),
-                "block_bits {} diverges from the legacy path", block_bits
-            );
+            let config = gate_by_gate().with_block_bits(block_bits);
+            let plan = ExecPlan::compile(&circuit, &config);
+            prop_assert_eq!(plan.num_records(), circuit.num_gates());
+            let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
+            let mut reference = DenseReference::new(circuit.num_qubits()).expect("small register");
+            for (index, gate) in circuit.iter().enumerate() {
+                plan.apply_record(&mut state, index);
+                reference.apply_gate(gate);
+                for (basis, expected) in reference.amplitudes().iter().enumerate() {
+                    let actual = state.amplitude(basis);
+                    prop_assert!(
+                        actual.approx_eq(*expected, TOLERANCE),
+                        "block_bits {} record {} ({:?}) amplitude {}: plan {:?} vs reference {:?}",
+                        block_bits, index, gate, basis, actual, expected
+                    );
+                }
+            }
         }
     }
 
-    /// Suite 4: thread-count invariance. The plan path produces bit-identical
-    /// amplitudes at 1, 2, 4 and 8 threads, and the sampled histograms match
-    /// the legacy path's exactly for the same seed.
+    /// Suite 4: partition invariance. With 4×4 batching off, the plan path
+    /// produces bit-identical amplitudes at 1, 2, 4 and 8 threads and at
+    /// every block size, and the sampled histograms are identical for the
+    /// same seed.
     #[test]
     fn plan_histograms_are_bit_identical_across_threads(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        let legacy = Statevector::run(
-            &circuit,
-            &ExecConfig::sequential().with_plan(false),
-        ).expect("small register");
-        let mut legacy_rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-        let expected = legacy.sample_counts(&mut legacy_rng, 512);
-        for threads in [1usize, 2, 4, 8] {
-            let config = ExecConfig::sequential()
-                .with_pair_fusion(false)
-                .with_block_bits(3)
-                .with_threads(threads)
-                .with_parallel_threshold(2);
-            let plan = Statevector::run(&circuit, &config).expect("small register");
-            prop_assert_eq!(
-                plan.amplitudes(),
-                legacy.amplitudes(),
-                "{} threads diverge from the legacy amplitudes", threads
-            );
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-            let histogram = plan.sample_counts(&mut rng, 512);
-            prop_assert_eq!(
-                &histogram,
-                &expected,
-                "{} threads produce a different histogram", threads
-            );
+        let base = ExecConfig::sequential().with_pair_fusion(false);
+        let expected_state = Statevector::run(&circuit, &base).expect("small register");
+        let expected = expected_state.sample_counts(&mut StdRng::seed_from_u64(seed ^ 0xD1FF), 512);
+        for block_bits in [0usize, 2, 3] {
+            for threads in [1usize, 2, 4, 8] {
+                let config = base
+                    .with_block_bits(block_bits)
+                    .with_threads(threads)
+                    .with_parallel_threshold(2);
+                let plan = Statevector::run(&circuit, &config).expect("small register");
+                prop_assert_eq!(
+                    plan.amplitudes(),
+                    expected_state.amplitudes(),
+                    "block_bits {} at {} threads diverges", block_bits, threads
+                );
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
+                let histogram = plan.sample_counts(&mut rng, 512);
+                prop_assert_eq!(
+                    &histogram,
+                    &expected,
+                    "block_bits {} at {} threads samples differently", block_bits, threads
+                );
+            }
         }
     }
 }
@@ -214,29 +186,25 @@ proptest! {
     // Noisy shots are expensive; fewer cases keep the suite fast.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Suite 5: the noisy simulator's plan replay draws the identical RNG
-    /// stream as its legacy replay — histograms are bit-identical.
+    /// Suite 5: the noisy simulator's plan replay and a noisy replay on the
+    /// oracle draw the same RNG stream, so their histograms are identical,
+    /// at every block size.
     #[test]
-    fn noisy_plan_replay_matches_legacy_replay(seed in any::<u64>()) {
+    fn noisy_plan_replay_matches_reference_replay(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         let model = NoiseModel::ibm_qx_2017();
-        let legacy_sim = NoisySimulator::with_config(
-            model,
-            ExecConfig::sequential().with_plan(false),
-        );
-        let mut legacy_rng = StdRng::seed_from_u64(seed);
-        let legacy = legacy_sim.run(&circuit, 64, &mut legacy_rng).expect("small register");
+        let expected = reference_noisy_run(&circuit, &model, 64, &mut StdRng::seed_from_u64(seed));
         for block_bits in [0usize, 2] {
-            let plan_sim = NoisySimulator::with_config(
+            let simulator = NoisySimulator::with_config(
                 model,
                 ExecConfig::sequential().with_block_bits(block_bits),
             );
-            let mut plan_rng = StdRng::seed_from_u64(seed);
-            let plan = plan_sim.run(&circuit, 64, &mut plan_rng).expect("small register");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plan = simulator.run(&circuit, 64, &mut rng).expect("small register");
             prop_assert_eq!(
                 &plan,
-                &legacy,
-                "noisy plan replay (block_bits {}) diverges", block_bits
+                &expected,
+                "noisy plan replay (block_bits {}) diverges from the reference replay", block_bits
             );
         }
     }

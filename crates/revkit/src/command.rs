@@ -807,10 +807,29 @@ impl Command for Exec {
     }
 
     fn description(&self) -> &'static str {
-        "configure circuit execution (--threads N | --fusion on|off | --threshold N | --plan on|off | --block-bits N | --pair-fusion on|off); no arguments prints the current settings"
+        "configure circuit execution (--threads N | --fusion on|off | --threshold N | --block-bits N | --pair-fusion on|off); no arguments prints the current settings"
     }
 
     fn execute(&self, args: &[String], store: &mut Store) -> Result<(), RevkitError> {
+        const FLAGS: [&str; 5] = [
+            "--threads",
+            "--fusion",
+            "--threshold",
+            "--block-bits",
+            "--pair-fusion",
+        ];
+        // Flags and values alternate; an unknown flag is an error rather
+        // than a silently ignored setting.
+        if let Some(unknown) = args
+            .iter()
+            .step_by(2)
+            .find(|a| !FLAGS.contains(&a.as_str()))
+        {
+            return Err(RevkitError::InvalidArguments {
+                command: self.name(),
+                message: format!("unknown flag '{unknown}'"),
+            });
+        }
         let mut config = store.exec_config();
         if let Some(threads) = find_flag_value(args, "--threads") {
             let threads = parse_usize(self.name(), threads)?;
@@ -828,9 +847,6 @@ impl Command for Exec {
         if let Some(threshold) = find_flag_value(args, "--threshold") {
             config = config.with_parallel_threshold(parse_usize(self.name(), threshold)?);
         }
-        if let Some(plan) = find_flag_value(args, "--plan") {
-            config = config.with_plan(parse_on_off(self.name(), "--plan", plan)?);
-        }
         if let Some(block_bits) = find_flag_value(args, "--block-bits") {
             config = config.with_block_bits(parse_usize(self.name(), block_bits)?);
         }
@@ -840,11 +856,10 @@ impl Command for Exec {
         }
         store.set_exec_config(config);
         store.log(format!(
-            "[exec] threads={} fusion={} parallel-threshold={} plan={} block-bits={} pair-fusion={}",
+            "[exec] threads={} fusion={} parallel-threshold={} block-bits={} pair-fusion={}",
             config.threads,
             if config.fusion { "on" } else { "off" },
             config.parallel_threshold,
-            if config.plan { "on" } else { "off" },
             if config.block_bits == 0 {
                 "auto".to_owned()
             } else {

@@ -144,7 +144,7 @@ mod tests {
             .unwrap();
         assert!(output.iter().any(|l| l.contains(
             "[exec] threads=2 fusion=off parallel-threshold=4096 \
-             plan=on block-bits=auto pair-fusion=on"
+             block-bits=auto pair-fusion=on"
         )));
         assert!(output
             .iter()
@@ -152,21 +152,21 @@ mod tests {
         let config = shell.store().exec_config();
         assert_eq!(config.threads, 2);
         assert!(!config.fusion);
-        // The plan knobs reconfigure the interpreter path.
+        // The plan knobs reconfigure the interpreter.
         let output = shell
-            .run_script("exec --plan off --block-bits 8 --pair-fusion off")
+            .run_script("exec --block-bits 8 --pair-fusion off")
             .unwrap();
         assert!(output
             .iter()
-            .any(|l| l.contains("plan=off block-bits=8 pair-fusion=off")));
+            .any(|l| l.contains("block-bits=8 pair-fusion=off")));
         let config = shell.store().exec_config();
-        assert!(!config.plan);
         assert_eq!(config.block_bits, 8);
         assert!(!config.pair_fusion);
         // Invalid arguments are rejected.
         assert!(shell.run_command("exec --threads 0").is_err());
         assert!(shell.run_command("exec --fusion maybe").is_err());
-        assert!(shell.run_command("exec --plan maybe").is_err());
+        // Unknown flags are rejected instead of silently ignored.
+        assert!(shell.run_command("exec --threads 2 --bogus 1").is_err());
         assert!(shell.run_command("exec --pair-fusion maybe").is_err());
         // Without arguments the command just reports the current settings.
         let report = shell.run_script("exec").unwrap();

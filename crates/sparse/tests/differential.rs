@@ -5,11 +5,11 @@
 //! S†, T, T†, Rz, CX, CZ, SWAP, CCX, MCX, MCZ) are run on both engines; each
 //! case checks
 //!
-//! * final-state amplitudes within `1e-10` of the dense fused execution
-//!   layer (the acceptance contract of the sparse subsystem),
+//! * final-state amplitudes within `1e-10` of the dense `ExecPlan`
+//!   executor (the acceptance contract of the sparse subsystem),
 //! * sampled histograms *identical* to the dense engine's at 1, 2, 4 and 8
-//!   sampling threads — under unfused sequential execution the two engines'
-//!   amplitudes (and therefore the sampling prefix sums) are bit-identical,
+//!   sampling threads — under gate-by-gate sequential execution (no fusion,
+//!   one plan record per gate) the two engines' sampling prefix sums agree,
 //!   so equal seeds must map every draw to the same outcome,
 //! * the sequential `Backend::run` paths agree shot for shot under equal
 //!   seeds,
@@ -98,8 +98,8 @@ fn random_circuit(seed: u64) -> QuantumCircuit {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Suite 1: final-state amplitudes agree with the dense fused execution
-    /// layer within 1e-10 over the whole basis.
+    /// Suite 1: final-state amplitudes agree with the dense executor (its
+    /// default, fused configuration) within 1e-10 over the whole basis.
     #[test]
     fn sparse_amplitudes_match_the_dense_fused_engine(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
@@ -117,14 +117,17 @@ proptest! {
     }
 
     /// Suite 2: sharded histograms are identical to the dense engine's at
-    /// 1, 2, 4 and 8 sampling threads (unfused sequential evolution makes
-    /// the sampling prefix sums bit-identical, so equal seeds must agree).
+    /// 1, 2, 4 and 8 sampling threads (gate-by-gate sequential evolution
+    /// makes the sampling prefix sums agree, so equal seeds must agree).
     #[test]
     fn sparse_histograms_match_dense_at_every_thread_count(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         let shots = 500 + (seed % 1500) as usize;
         let sample_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let base = ExecConfig::baseline().with_shot_shard_size(128);
+        let base = ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false)
+            .with_shot_shard_size(128);
         let sparse = SparseStatevector::from_circuit(&circuit).unwrap();
         let dense = Statevector::run(&circuit, &base).unwrap();
         for threads in [1usize, 2, 4, 8] {
@@ -146,12 +149,14 @@ proptest! {
     }
 
     /// Suite 3: the sequential `Backend::run` paths (one RNG draw per shot)
-    /// agree shot for shot under equal seeds and unfused execution.
+    /// agree shot for shot under equal seeds and gate-by-gate execution.
     #[test]
     fn sparse_backend_matches_dense_backend_shot_for_shot(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         let shots = 100 + (seed % 400) as usize;
-        let config = ExecConfig::baseline();
+        let config = ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false);
         let sparse = SparseBackend::with_config(seed, config).run(&circuit, shots).unwrap();
         let dense = StatevectorBackend::with_config(seed, config).run(&circuit, shots).unwrap();
         prop_assert_eq!(&sparse.counts, &dense.counts);

@@ -86,7 +86,10 @@ proptest! {
         let circuit = random_clifford_circuit(seed);
         let shots = 500 + (seed % 1500) as usize;
         let sample_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let base = ExecConfig::baseline().with_shot_shard_size(128);
+        let base = ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false)
+            .with_shot_shard_size(128);
         let sampler = StabilizerTableau::from_circuit(&circuit).unwrap().sampler().unwrap();
         let dense = Statevector::run(&circuit, &base).unwrap();
         for threads in [1usize, 2, 4, 8] {
@@ -113,7 +116,9 @@ proptest! {
     fn stabilizer_backend_matches_dense_backend_shot_for_shot(seed in any::<u64>()) {
         let circuit = random_clifford_circuit(seed);
         let shots = 100 + (seed % 400) as usize;
-        let config = ExecConfig::baseline();
+        let config = ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false);
         let stab = StabilizerBackend::with_config(seed, config).run(&circuit, shots).unwrap();
         let dense = StatevectorBackend::with_config(seed, config).run(&circuit, shots).unwrap();
         prop_assert_eq!(&stab.counts, &dense.counts);

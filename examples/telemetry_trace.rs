@@ -16,7 +16,7 @@ use qdaflow::quantum::qasm;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 20 variables: the inner-product bent function (Maiorana–McFarland
     // with the identity permutation) — the same instance the
-    // `fusion_vs_baseline` bench simulates.
+    // `plan_vs_reference` bench simulates.
     let bent = MaioranaMcFarland::inner_product(10);
     let instance = HiddenShiftInstance::from_maiorana_mcfarland(&bent, 0b10_1101_1001)?;
     let circuit = instance.build_circuit(OracleStyle::MaioranaMcFarland {

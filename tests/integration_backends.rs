@@ -69,7 +69,9 @@ fn exec_config_variants_agree_on_the_benchmark() {
     // distribution: same seed, same histogram.
     let (_, circuit) = fig4_instance();
     let configs = [
-        ExecConfig::baseline(),
+        ExecConfig::sequential()
+            .with_fusion(false)
+            .with_pair_fusion(false),
         ExecConfig::sequential(),
         ExecConfig::default()
             .with_threads(4)
@@ -106,10 +108,14 @@ fn hidden_shift_runner_recovers_the_shift_on_every_backend() {
 #[test]
 fn batch_engine_sparse_jobs_match_dense_for_oracle_workloads() {
     // The BatchEngine path with the sparse backend: same compiled oracles,
-    // same seeds, same histograms as the dense path. Unfused sequential
-    // execution keeps the two engines' sampling prefix sums bit-identical,
-    // so the counts must be *equal*, not merely close.
-    let config = ExecConfig::baseline().with_shot_shard_size(256);
+    // same seeds, same histograms as the dense path. Gate-by-gate
+    // sequential execution (no fusion, one plan record per gate) keeps the
+    // two engines' sampling prefix sums in agreement, so the counts must be
+    // *equal*, not merely close.
+    let config = ExecConfig::sequential()
+        .with_fusion(false)
+        .with_pair_fusion(false)
+        .with_shot_shard_size(256);
     let engine = BatchEngine::with_config(config);
     let specs = [
         OracleSpec::permutation(

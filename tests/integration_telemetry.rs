@@ -429,13 +429,13 @@ fn flow_json_line_schema_is_stable() {
     assert!(line.ends_with('}'), "schema drift: {line}");
 }
 
-/// The disabled-recorder overhead bound behind the `fusion_vs_baseline`
+/// The disabled-recorder overhead bound behind the `plan_vs_reference`
 /// acceptance criterion (regression < 5% with tracing off). A disabled
 /// `span!` site is one relaxed atomic load — no formatting, no allocation,
 /// no lock. The plan interpreter emits on the order of one span check per
 /// sweep segment (dozens per 20-qubit apply), so even at this test's very
 /// generous 200 ns/site ceiling the added cost on a >= 40 ms
-/// `fusion_vs_baseline` iteration is tens of microseconds — under 0.1%,
+/// `plan_vs_reference` plan iteration is tens of microseconds — under 0.1%,
 /// far inside the 5% budget. Run by the CI telemetry job in release mode
 /// (`--include-ignored`); ignored by default because it is timing-based.
 #[test]
